@@ -10,6 +10,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -162,6 +163,16 @@ type Node struct {
 	// deliver then copies payloads before handing them up.
 	viewStep bool
 
+	// Rest observability (loop goroutine only): restFrom is the arrival
+	// of the possession whose pass is still to be observed, arriving marks
+	// the execution of an arrival's own actions, so a pass among them was
+	// made on arrival. restHist and idlePasses are this ring's
+	// token_rest_seconds and token_idle_passes_total series.
+	restFrom   time.Time
+	arriving   bool
+	restHist   *stats.Histogram
+	idlePasses *stats.Counter
+
 	// Adaptive attach-budget controller state (loop goroutine only).
 	adaptive     bool
 	holdD        time.Duration
@@ -213,19 +224,22 @@ func newNode(cfg Config) (*Node, error) {
 	if holdD <= 0 {
 		holdD = 10 * time.Millisecond // ring.Config's default hold interval
 	}
+	ringLabel := strconv.FormatUint(uint64(cfg.RingID), 10)
 	return &Node{
-		id:       cfg.ID,
-		ringID:   cfg.RingID,
-		clk:      cfg.Clock,
-		reg:      cfg.Registry,
-		sm:       ring.New(cfg.Ring),
-		trc:      cfg.Trace,
-		asm:      wire.NewAssembler(),
-		adaptive: cfg.Ring.AdaptiveBatch,
-		holdD:    holdD,
-		events:   make(chan ring.Event, 1024),
-		done:     make(chan struct{}),
-		state:    ring.Down,
+		id:         cfg.ID,
+		ringID:     cfg.RingID,
+		clk:        cfg.Clock,
+		reg:        cfg.Registry,
+		sm:         ring.New(cfg.Ring),
+		trc:        cfg.Trace,
+		asm:        wire.NewAssembler(),
+		restHist:   cfg.Registry.Histogram(stats.LabeledName(stats.HistTokenRest, "ring", ringLabel)),
+		idlePasses: cfg.Registry.Counter(stats.LabeledName(stats.MetricTokenIdlePasses, "ring", ringLabel)),
+		adaptive:   cfg.Ring.AdaptiveBatch,
+		holdD:      holdD,
+		events:     make(chan ring.Event, 1024),
+		done:       make(chan struct{}),
+		state:      ring.Down,
 	}, nil
 }
 
@@ -393,7 +407,8 @@ func (n *Node) loop() {
 				buf, tok = ta.buf, ta.Tok
 				ev = ta.EvTokenReceived
 			}
-			if _, ok := ev.(ring.EvTokenReceived); ok {
+			te, arriving := ev.(ring.EvTokenReceived)
+			if arriving {
 				// Every arrival counts — including bufferless merge and
 				// recovery tokens — for both the staleness stamp and the
 				// registered flush hooks.
@@ -403,12 +418,19 @@ func (n *Node) loop() {
 						fn()
 					}
 				}
+				te.At = n.clk.Now() // the state machine places the rest by it
+				ev = te
 			}
 			n.countTaskSwitch(ev)
 			n.traceEvent(ev)
 			acts := n.sm.Step(ev)
+			if arriving && n.sm.PossessedToken() == te.Tok {
+				n.restFrom = te.At
+			}
 			rel0, rel1 := n.updatePin(buf, tok)
+			n.arriving = arriving
 			n.execute(acts)
+			n.arriving = false
 			// Buffers are released only after the step's actions ran:
 			// deliveries among them may still read the payload views.
 			rel0.Release()
@@ -626,7 +648,9 @@ func (n *Node) execute(acts []ring.Action) {
 func (n *Node) sendToken(act ring.ActSendToken) {
 	tok := act.Tok
 	to := act.To
-	n.observeTokenInterval()
+	now := n.clk.Now()
+	n.observeTokenInterval(now)
+	n.observeRest(now, tok)
 	size := wire.EncodedTokenSize(n.ringID, tok)
 	if n.adaptive {
 		n.adaptBatch(tok, size)
@@ -748,10 +772,22 @@ func (n *Node) adaptBatch(tok *wire.Token, size int) {
 	}
 }
 
+// observeRest records how long the possession this pass ends rested, and
+// counts the pass if it was made on arrival.
+func (n *Node) observeRest(now time.Time, tok *wire.Token) {
+	if tok.TBM || n.restFrom.IsZero() {
+		return // a merge hand-off, or the retry of an observed pass
+	}
+	n.restHist.Observe(now.Sub(n.restFrom))
+	n.restFrom = time.Time{}
+	if n.arriving {
+		n.idlePasses.Inc()
+	}
+}
+
 // observeTokenInterval records the spacing of outgoing token passes, which
 // over a full ring equals the token round-trip (§4.1's L).
-func (n *Node) observeTokenInterval() {
-	now := n.clk.Now()
+func (n *Node) observeTokenInterval(now time.Time) {
 	n.mu.Lock()
 	last := n.lastToken
 	n.lastToken = now

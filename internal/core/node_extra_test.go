@@ -166,6 +166,30 @@ func TestTokenRoundTripHistogramPopulates(t *testing.T) {
 	}
 }
 
+func TestTokenRestMetricsPopulate(t *testing.T) {
+	// Node 1 writes while 2 and 3 have nothing to do: the rotation's rest
+	// goes to node 1, the others pass on arrival, and both show on the
+	// ring-labeled series.
+	rec := newRecorder()
+	tc := startCluster(t, 3, rec)
+	rest := stats.LabeledName(stats.HistTokenRest, "ring", "0")
+	idle := stats.LabeledName(stats.MetricTokenIdlePasses, "ring", "0")
+	deadline := time.Now().Add(5 * time.Second)
+	for time.Now().Before(deadline) {
+		if err := tc.Nodes[1].Multicast([]byte("w")); err != nil {
+			t.Fatal(err)
+		}
+		time.Sleep(time.Millisecond)
+		writer := tc.Nodes[1].Stats().Snapshot()
+		other := tc.Nodes[2].Stats().Snapshot()
+		if writer.Histograms[rest].Count > 0 && other.Counters[idle] > 0 &&
+			other.Histograms[rest].Count > 0 {
+			return
+		}
+	}
+	t.Fatalf("rest metrics did not populate:\n%v", tc.Nodes[2].Stats().Snapshot())
+}
+
 func TestMulticastLatencyHistogramPopulates(t *testing.T) {
 	rec := newRecorder()
 	tc := startCluster(t, 2, rec)

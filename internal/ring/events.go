@@ -49,8 +49,11 @@ func (s NodeState) String() string {
 type TimerKind uint8
 
 const (
-	// TimerTokenHold fires when the node has held the token for the
-	// regular passing interval (§2.2).
+	// TimerTokenHold fires when the node's rest with the token is over
+	// and it should pass (§2.2). The state machine arms it on each arrival
+	// for that possession's share of the rotation's rest budget (see
+	// Config.TokenHold), or not at all when it passes on arrival; a
+	// singleton ring never re-arms it.
 	TimerTokenHold TimerKind = iota
 	// TimerHungry fires when HUNGRY has lasted long enough to suspect
 	// token loss (§2.3).
@@ -104,10 +107,13 @@ type EvStart struct{}
 type EvStartJoining struct{}
 
 // EvTokenReceived delivers a TOKEN (§2.2). From is the transport-level
-// sender.
+// sender. At is the arrival time on the runtime's clock; the state machine
+// reads it only to place the rotation's rest (Config.TokenHold), and a
+// zero At rests the fixed TokenHold.
 type EvTokenReceived struct {
 	From wire.NodeID
 	Tok  *wire.Token
+	At   time.Time
 }
 
 // EvTokenAcked reports that the transport confirmed delivery of the token

@@ -53,6 +53,19 @@ type simNode struct {
 	regens    int
 	merges    int
 	holds     int
+	s911      int
+	// gotAt is when the current possession's token arrived (valid while
+	// resting); passes records every non-merge pass this node made.
+	gotAt   time.Duration
+	resting bool
+	passes  []simPass
+}
+
+// simPass is one token pass: when it was sent, how long the possession
+// it ended rested, and whether it was made on arrival.
+type simPass struct {
+	at, rest  time.Duration
+	onArrival bool
 }
 
 type cluster struct {
@@ -67,7 +80,15 @@ type cluster struct {
 	delay time.Duration // one-way message delay
 	cut   map[[2]wire.NodeID]bool
 	part  map[wire.NodeID]int
+
+	// unstamped delivers token arrivals without a time stamp, so every
+	// member rests the fixed TokenHold (the paper's schedule).
+	unstamped bool
+	arriving  bool // the actions being applied come from a token arrival
 }
+
+// simEpoch anchors the virtual clock for token arrival stamps.
+var simEpoch = time.Date(2000, 1, 1, 0, 0, 0, 0, time.UTC)
 
 func newCluster(t testing.TB, cfgOf func(id wire.NodeID) Config, ids ...wire.NodeID) *cluster {
 	c := &cluster{
@@ -112,7 +133,25 @@ func (c *cluster) inject(id wire.NodeID, ev Event) {
 	if n.crashed || n.shutdown {
 		return
 	}
-	c.apply(id, n.sm.Step(ev))
+	c.step(id, ev)
+}
+
+// step feeds one event to a node at the current virtual time, stamping
+// token arrivals with it, and executes the resulting actions.
+func (c *cluster) step(id wire.NodeID, ev Event) {
+	n := c.nodes[id]
+	te, arriving := ev.(EvTokenReceived)
+	if arriving && !c.unstamped {
+		te.At = simEpoch.Add(c.now)
+		ev = te
+	}
+	acts := n.sm.Step(ev)
+	if arriving && n.sm.PossessedToken() == te.Tok {
+		n.gotAt, n.resting = c.now, true
+	}
+	c.arriving = arriving
+	c.apply(id, acts)
+	c.arriving = false
 }
 
 // schedule queues an event for later delivery.
@@ -144,6 +183,10 @@ func (c *cluster) apply(id wire.NodeID, acts []Action) {
 	for _, a := range acts {
 		switch act := a.(type) {
 		case ActSendToken:
+			if n.resting && !act.Tok.TBM {
+				n.passes = append(n.passes, simPass{at: c.now, rest: c.now - n.gotAt, onArrival: c.arriving})
+				n.resting = false
+			}
 			if c.reachable(id, act.To) {
 				c.schedule(c.delay, act.To, EvTokenReceived{From: id, Tok: act.Tok}, nil)
 				c.schedule(2*c.delay, id, EvTokenAcked{To: act.To, Epoch: act.Tok.Epoch, Seq: act.Tok.Seq}, nil)
@@ -152,6 +195,7 @@ func (c *cluster) apply(id wire.NodeID, acts []Action) {
 				c.schedule(3*c.delay, id, EvTokenSendFailed{To: act.To, Epoch: act.Tok.Epoch, Seq: act.Tok.Seq}, nil)
 			}
 		case ActSend911:
+			n.s911++
 			if c.reachable(id, act.To) {
 				c.schedule(c.delay, act.To, Ev911Received{M: act.M}, nil)
 			} else {
@@ -201,7 +245,7 @@ func (c *cluster) run(until time.Duration) {
 		if e.timer != nil && n.timers[e.timer.kind] != e.timer.gen {
 			continue // timer was re-armed or stopped since scheduling
 		}
-		c.apply(e.node, n.sm.Step(e.ev))
+		c.step(e.node, e.ev)
 	}
 	if c.now < deadline {
 		c.now = deadline

@@ -14,9 +14,17 @@ import (
 type Config struct {
 	// ID is this node's identity. Must be non-zero.
 	ID wire.NodeID
-	// TokenHold is how long the node keeps the token before passing it.
+	// TokenHold sets the rotation period: each rotation spends a rest
+	// budget R = len(members) x TokenHold (capped at HungryTimeout/2),
+	// which the members with work share (§2.2's regular interval, placed
+	// where the writes are; see restFor). A member with work rests at
+	// least TokenHold, so a ring where every member has work at every
+	// visit passes exactly as the paper's fixed hold does; an arrival
+	// without a timestamp (EvTokenReceived.At) also rests TokenHold.
 	TokenHold time.Duration
-	// HungryTimeout is how long HUNGRY lasts before STARVING.
+	// HungryTimeout is how long HUNGRY lasts before STARVING. It also
+	// caps the rest budget at half its length, so a member never waits
+	// close to it while another rests.
 	HungryTimeout time.Duration
 	// StarvingRetry is the period between 911 rounds while starving.
 	StarvingRetry time.Duration
@@ -81,6 +89,17 @@ type outMsg struct {
 	safe    bool
 }
 
+// originSlots bounds the per-origin activity table; rings are a handful
+// of members, and an overflow only evicts the stalest origin.
+const originSlots = 32
+
+// originSeen records when an origin's application multicast last rode a
+// token arriving here.
+type originSeen struct {
+	id wire.NodeID
+	at time.Time
+}
+
 // SM is the protocol state machine for one node. It is not safe for
 // concurrent use; the runtime serializes events.
 type SM struct {
@@ -120,6 +139,17 @@ type SM struct {
 	// batchBudget is the runtime-tuned attach budget (EvSetBatchBudget);
 	// zero falls back to cfg.MaxBatch. Only honored with AdaptiveBatch.
 	batchBudget int
+
+	// Rest placement (restFor), all on arrival stamps: arrivedAt is the
+	// current or last possession's arrival (zero: no history yet), passAt
+	// when that possession was due to end, attachAt the arrival of the
+	// last possession that attached an application multicast, and seen
+	// when each other origin's application multicasts last rode an
+	// arriving token.
+	arrivedAt time.Time
+	passAt    time.Time
+	attachAt  time.Time
+	seen      [originSlots]originSeen
 
 	// Master lock (§2.7).
 	holdRequested bool
@@ -427,6 +457,11 @@ func (s *SM) onToken(e EvTokenReceived, acts *[]Action) {
 	}
 
 	s.adoptMembers(tok, acts)
+	prev := s.arrivedAt
+	s.arrivedAt = e.At
+	if !e.At.IsZero() {
+		s.noteOrigins(tok, e.At)
+	}
 	s.ingest(tok, acts)
 
 	// Merge any TBM tokens we have been holding (§2.4).
@@ -450,7 +485,85 @@ func (s *SM) onToken(e EvTokenReceived, acts *[]Action) {
 		s.holding = true
 		*acts = append(*acts, ActHoldGranted{})
 	}
-	*acts = append(*acts, ActSetTimer{Kind: TimerTokenHold, D: s.cfg.TokenHold})
+	rest := s.restFor(e.At, prev)
+	s.passAt = e.At.Add(rest)
+	if rest > 0 {
+		*acts = append(*acts, ActSetTimer{Kind: TimerTokenHold, D: rest})
+	} else if s.possessed != nil && !s.passing && !s.holding {
+		s.passToken(acts) // no work here while the rest is spent elsewhere
+	}
+}
+
+// restFor places one possession within the rotation's rest budget
+// R = len(members) x TokenHold, capped at HungryTimeout/2. A member is
+// active while it has a multicast queued or attached one within the last
+// 4R; k counts the active members it knows of: itself, plus the other
+// origins whose application multicasts rode arriving tokens within the
+// same window. An active member rests R/k, never less than TokenHold, so
+// a ring where every member is active keeps the paper's fixed schedule.
+// An idle member passes on arrival while anyone else is active. On a
+// wholly idle ring the rest stays where it is: a member the token
+// returns to within R/2 of its own pass (everyone else passed on
+// arrival) rests R, the others pass on, and one rotation still takes
+// about R plus the hops. Without arrival history — the first stamped
+// arrival, or an unstamped one — the member rests TokenHold.
+func (s *SM) restFor(now, prev time.Time) time.Duration {
+	hold := s.cfg.TokenHold
+	if now.IsZero() || prev.IsZero() {
+		return hold
+	}
+	budget := time.Duration(len(s.members)) * hold
+	if ceil := s.cfg.HungryTimeout / 2; budget > ceil {
+		budget = ceil
+	}
+	window := 4 * budget
+	k := s.activeOthers(now, window)
+	switch {
+	case len(s.outbox) > 0 || now.Sub(s.attachAt) <= window:
+		return max(budget/time.Duration(k+1), hold)
+	case k > 0:
+		return 0
+	case now.Sub(s.passAt) <= budget/2:
+		return budget
+	default:
+		return 0
+	}
+}
+
+// noteOrigins stamps the origins of the application multicasts riding an
+// arriving token into the fixed-size activity table.
+func (s *SM) noteOrigins(tok *wire.Token, now time.Time) {
+	last := wire.NoNode
+	for i := range tok.Msgs {
+		m := &tok.Msgs[i]
+		if m.Sys != wire.SysApp || m.Origin == s.id || m.Origin == last {
+			continue
+		}
+		last = m.Origin
+		slot := 0
+		for j := range s.seen {
+			if s.seen[j].id == m.Origin {
+				slot = j
+				break
+			}
+			if s.seen[j].at.Before(s.seen[slot].at) {
+				slot = j // the stalest entry, or an empty one
+			}
+		}
+		s.seen[slot] = originSeen{id: m.Origin, at: now}
+	}
+}
+
+// activeOthers counts the current members other than this one whose
+// application multicasts arrived here within the window.
+func (s *SM) activeOthers(now time.Time, window time.Duration) int {
+	k := 0
+	for i := range s.seen {
+		if e := &s.seen[i]; e.id != wire.NoNode && now.Sub(e.at) <= window && s.isMember(e.id) {
+			k++
+		}
+	}
+	return k
 }
 
 // adoptMembers installs the token's authoritative membership as the local
@@ -544,6 +657,9 @@ func (s *SM) attachOutbox(tok *wire.Token, acts *[]Action) {
 			limit = budget
 		}
 		s.attachUsed += limit
+	}
+	if limit > 0 {
+		s.attachAt = s.arrivedAt // activity, stamped at this possession's arrival
 	}
 	for _, om := range s.outbox[:limit] {
 		s.nextSeq++
@@ -645,10 +761,18 @@ func (s *SM) passToken(acts *[]Action) {
 	tok := s.possessed
 	succ := tok.Successor(s.id)
 	if succ == s.id || succ == wire.NoNode {
-		// Singleton: run a local cycle and keep eating.
+		// Singleton: run a local cycle and keep eating. No hold timer is
+		// re-armed: attachOutbox already completes a singleton's cycles on
+		// submit, and joins and merges act on their own events, so waking
+		// every TokenHold would only repeat that ingest. A master-lock
+		// request that waited out the pass that collapsed the ring is
+		// granted here instead of by the next timer fire.
 		s.ingest(tok, acts)
 		s.noteCopy(tok)
-		*acts = append(*acts, ActSetTimer{Kind: TimerTokenHold, D: s.cfg.TokenHold})
+		if s.holdRequested && !s.holding {
+			s.holding = true
+			*acts = append(*acts, ActHoldGranted{})
+		}
 		return
 	}
 	tok.Seq++

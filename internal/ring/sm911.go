@@ -175,9 +175,14 @@ func (s *SM) on911Reply(m wire.Msg911Reply, acts *[]Action) {
 	}
 }
 
-// on911SendFailed marks a member unreachable for this round.
+// on911SendFailed marks a member unreachable for this round. A failure of
+// the previous round's request counts too: the transport gives up after
+// about Attempts x AckTimeout, which under tight timers is as long as
+// StarvingRetry, so that report routinely lands just after the next round
+// began — and counting only same-round failures could then starve the
+// survivors of a dead token holder indefinitely.
 func (s *SM) on911SendFailed(e Ev911SendFailed, acts *[]Action) {
-	if s.state != Starving || e.ReqID != s.reqID {
+	if s.state != Starving || (e.ReqID != s.reqID && e.ReqID+1 != s.reqID) {
 		return
 	}
 	s.unreachable[e.To] = true

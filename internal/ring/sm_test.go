@@ -205,6 +205,34 @@ func TestSendFailureCollapsesToSingleton(t *testing.T) {
 	}
 }
 
+func TestSingletonDoesNotRearmHoldTimer(t *testing.T) {
+	s := newStarted(t, 1)
+	acts := s.Step(EvTimer{Kind: TimerTokenHold})
+	for _, a := range acts {
+		if st, ok := a.(ActSetTimer); ok && st.Kind == TimerTokenHold {
+			t.Fatal("singleton re-armed the hold timer")
+		}
+	}
+	if !s.HasToken() || s.State() != Eating {
+		t.Fatal("singleton must keep eating")
+	}
+}
+
+func TestCollapseToSingletonGrantsPendingHold(t *testing.T) {
+	// A lock requested while the last pass was in flight is granted when
+	// that pass fails and the ring collapses to this node.
+	s := newStarted(t, 1)
+	receiveRingToken(s, 2, 10, 1, 2)
+	s.Step(EvTimer{Kind: TimerTokenHold})
+	if acts := s.Step(EvHoldRequest{}); hasAction[ActHoldGranted](acts) {
+		t.Fatal("hold granted while passing")
+	}
+	acts := s.Step(EvTokenSendFailed{To: 2, Epoch: 2, Seq: 11})
+	if !hasAction[ActHoldGranted](acts) {
+		t.Fatal("pending hold not granted on collapse to singleton")
+	}
+}
+
 func Test911FromNonMemberIsJoinRequest(t *testing.T) {
 	s := newStarted(t, 1)
 	acts := s.Step(Ev911Received{M: wire.Msg911{From: 5, Epoch: 1, Seq: 0, ReqID: 1}})
@@ -324,6 +352,23 @@ func TestUnreachableMembersCountTowardRegeneration(t *testing.T) {
 	acts = s.Step(Ev911ReplyReceived{M: wire.Msg911Reply{From: 3, ReqID: reqID, Grant: true}})
 	if !hasAction[ActTokenRegenerated](acts) {
 		t.Fatal("grant + unreachable did not regenerate")
+	}
+}
+
+func TestLateSendFailureCountsInNextRound(t *testing.T) {
+	// The transport reports node 3 unreachable only after the retry timer
+	// started the next round; that report must still count, or the
+	// survivors of a dead holder re-run rounds forever.
+	s := newStarted(t, 1)
+	receiveRingToken(s, 2, 10, 1, 2, 3)
+	s.Step(EvTimer{Kind: TimerTokenHold})
+	s.Step(EvTokenAcked{To: 2, Epoch: 2, Seq: 11})
+	first := sent911s(s.Step(EvTimer{Kind: TimerHungry}))[0].M.ReqID
+	second := sent911s(s.Step(EvTimer{Kind: TimerStarvingRetry}))[0].M.ReqID
+	s.Step(Ev911SendFailed{To: 3, ReqID: first})
+	acts := s.Step(Ev911ReplyReceived{M: wire.Msg911Reply{From: 2, ReqID: second, Grant: true}})
+	if !hasAction[ActTokenRegenerated](acts) {
+		t.Fatal("late failure report from the previous round ignored")
 	}
 }
 

@@ -314,6 +314,16 @@ const (
 	HistReshardPause = "reshard_pause"
 	// HistTokenRoundTrip is the token's full-ring round-trip time.
 	HistTokenRoundTrip = "token_round_trip"
+	// HistTokenRest is how long each token possession at this member
+	// rested before its pass, labeled by ring (token_rest{ring=...},
+	// rendered as token_rest_seconds): the rotation's rest budget goes to
+	// the members with work, so a ring's rest shows up where its writes
+	// are.
+	HistTokenRest = "token_rest"
+	// MetricTokenIdlePasses counts passes this member made on arrival,
+	// with no work while the ring's rest was spent elsewhere; labeled by
+	// ring.
+	MetricTokenIdlePasses = "token_idle_passes_total"
 	// MetricDDSBatchFlushes counts write-coalescer flushes: multi-op
 	// opBatch frames submitted to the ordered stream.
 	MetricDDSBatchFlushes = "dds_batch_flushes_total"
