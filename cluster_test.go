@@ -395,7 +395,8 @@ func TestAdminMetricsMatchesStats(t *testing.T) {
 	if err := stats.ValidateExposition(bytes.NewReader(body)); err != nil {
 		t.Fatalf("exposition invalid: %v\n%s", err, body)
 	}
-	for _, want := range []string{"# TYPE msgs_delivered counter", "multicast_latency_seconds_bucket"} {
+	for _, want := range []string{"# TYPE msgs_delivered counter", "multicast_latency_seconds_bucket",
+		`token_idle_passes_total{ring="0"}`, `token_budget_passes_total{ring="0"}`} {
 		if !strings.Contains(string(body), want) {
 			t.Fatalf("metrics missing %q:\n%s", want, body)
 		}

@@ -166,12 +166,14 @@ type Node struct {
 	// Rest observability (loop goroutine only): restFrom is the arrival
 	// of the possession whose pass is still to be observed, arriving marks
 	// the execution of an arrival's own actions, so a pass among them was
-	// made on arrival. restHist and idlePasses are this ring's
-	// token_rest_seconds and token_idle_passes_total series.
-	restFrom   time.Time
-	arriving   bool
-	restHist   *stats.Histogram
-	idlePasses *stats.Counter
+	// made on arrival. restHist, idlePasses and budgetPasses are this
+	// ring's token_rest_seconds, token_idle_passes_total and
+	// token_budget_passes_total series.
+	restFrom     time.Time
+	arriving     bool
+	restHist     *stats.Histogram
+	idlePasses   *stats.Counter
+	budgetPasses *stats.Counter
 
 	// Adaptive attach-budget controller state (loop goroutine only).
 	adaptive     bool
@@ -226,20 +228,21 @@ func newNode(cfg Config) (*Node, error) {
 	}
 	ringLabel := strconv.FormatUint(uint64(cfg.RingID), 10)
 	return &Node{
-		id:         cfg.ID,
-		ringID:     cfg.RingID,
-		clk:        cfg.Clock,
-		reg:        cfg.Registry,
-		sm:         ring.New(cfg.Ring),
-		trc:        cfg.Trace,
-		asm:        wire.NewAssembler(),
-		restHist:   cfg.Registry.Histogram(stats.LabeledName(stats.HistTokenRest, "ring", ringLabel)),
-		idlePasses: cfg.Registry.Counter(stats.LabeledName(stats.MetricTokenIdlePasses, "ring", ringLabel)),
-		adaptive:   cfg.Ring.AdaptiveBatch,
-		holdD:      holdD,
-		events:     make(chan ring.Event, 1024),
-		done:       make(chan struct{}),
-		state:      ring.Down,
+		id:           cfg.ID,
+		ringID:       cfg.RingID,
+		clk:          cfg.Clock,
+		reg:          cfg.Registry,
+		sm:           ring.New(cfg.Ring),
+		trc:          cfg.Trace,
+		asm:          wire.NewAssembler(),
+		restHist:     cfg.Registry.Histogram(stats.LabeledName(stats.HistTokenRest, "ring", ringLabel)),
+		idlePasses:   cfg.Registry.Counter(stats.LabeledName(stats.MetricTokenIdlePasses, "ring", ringLabel)),
+		budgetPasses: cfg.Registry.Counter(stats.LabeledName(stats.MetricTokenBudgetPasses, "ring", ringLabel)),
+		adaptive:     cfg.Ring.AdaptiveBatch,
+		holdD:        holdD,
+		events:       make(chan ring.Event, 1024),
+		done:         make(chan struct{}),
+		state:        ring.Down,
 	}, nil
 }
 
@@ -650,7 +653,7 @@ func (n *Node) sendToken(act ring.ActSendToken) {
 	to := act.To
 	now := n.clk.Now()
 	n.observeTokenInterval(now)
-	n.observeRest(now, tok)
+	n.observeRest(now, act)
 	size := wire.EncodedTokenSize(n.ringID, tok)
 	if n.adaptive {
 		n.adaptBatch(tok, size)
@@ -773,14 +776,18 @@ func (n *Node) adaptBatch(tok *wire.Token, size int) {
 }
 
 // observeRest records how long the possession this pass ends rested, and
-// counts the pass if it was made on arrival.
-func (n *Node) observeRest(now time.Time, tok *wire.Token) {
-	if tok.TBM || n.restFrom.IsZero() {
+// counts the pass if its attach budget was spent or, failing that, if it
+// was made on arrival.
+func (n *Node) observeRest(now time.Time, act ring.ActSendToken) {
+	if act.Tok.TBM || n.restFrom.IsZero() {
 		return // a merge hand-off, or the retry of an observed pass
 	}
 	n.restHist.Observe(now.Sub(n.restFrom))
 	n.restFrom = time.Time{}
-	if n.arriving {
+	switch {
+	case act.Spent:
+		n.budgetPasses.Inc()
+	case n.arriving:
 		n.idlePasses.Inc()
 	}
 }

@@ -190,6 +190,39 @@ func TestTokenRestMetricsPopulate(t *testing.T) {
 	t.Fatalf("rest metrics did not populate:\n%v", tc.Nodes[2].Stats().Snapshot())
 }
 
+func TestTokenBudgetPassesCount(t *testing.T) {
+	// Node 1 queues far more than its two-message attach budget: its
+	// possessions spend the budget and pass at once, and those passes are
+	// counted as budget passes. Node 2 never writes, so it has none.
+	rc := FastRing()
+	rc.MaxBatch = 2
+	tc, err := NewTestCluster(ClusterOptions{N: 3, Ring: rc})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(tc.Close)
+	if err := tc.WaitAssembled(10 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	budget := stats.LabeledName(stats.MetricTokenBudgetPasses, "ring", "0")
+	for i := 0; i < 64; i++ {
+		if err := tc.Nodes[1].Multicast([]byte("w")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for time.Now().Before(deadline) {
+		if tc.Nodes[1].Stats().Snapshot().Counters[budget] >= 8 {
+			if n := tc.Nodes[2].Stats().Snapshot().Counters[budget]; n != 0 {
+				t.Fatalf("idle node 2 counted %d budget passes", n)
+			}
+			return
+		}
+		time.Sleep(time.Millisecond)
+	}
+	t.Fatalf("budget passes did not count:\n%v", tc.Nodes[1].Stats().Snapshot())
+}
+
 func TestMulticastLatencyHistogramPopulates(t *testing.T) {
 	rec := newRecorder()
 	tc := startCluster(t, 2, rec)

@@ -44,7 +44,8 @@ type E10Config struct {
 	// highest node ID, never the ring leader).
 	Nodes  int
 	Shards int
-	// TokenHoldMS and MaxBatch pin the ordered ceiling.
+	// TokenHoldMS and MaxBatch size the token: at most MaxBatch frames
+	// per hop, and a holder that spends them passes at once.
 	TokenHoldMS int
 	MaxBatch    int
 	// Writers is the closed-loop writer count for the overhead phases.

@@ -36,9 +36,10 @@ type E11Config struct {
 	// Nodes and Shards size the cluster.
 	Nodes  int
 	Shards int
-	// TokenHoldMS and MaxBatch pin the ordered ceiling — MaxBatch is
-	// the ring's frames-per-token-visit budget, the bottleneck the
-	// coalescer exists to stop paying per op.
+	// TokenHoldMS and MaxBatch size the token — MaxBatch is the ring's
+	// frames-per-token-visit budget, which the coalescer stops paying per
+	// op; a holder that spends it passes at once, so a loaded ring is
+	// CPU-bound rather than hold-bound.
 	TokenHoldMS int
 	MaxBatch    int
 	// Writers is the closed-loop writer count. Batching only pays when

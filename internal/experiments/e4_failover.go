@@ -13,6 +13,8 @@ type E4Row struct {
 	Nodes   int
 	GapSecs float64
 	Paper   string
+	// Report is the run's rainwall.FailoverReport, for a failed check.
+	Report string
 }
 
 // E4Config sizes the fail-over experiment.
@@ -35,7 +37,7 @@ func DefaultE4() E4Config {
 func E4Failover(cfg E4Config) ([]E4Row, error) {
 	var rows []E4Row
 	for _, n := range cfg.Sizes {
-		gap, err := failoverGap(n, cfg)
+		gap, report, err := failoverGap(n, cfg)
 		if err != nil {
 			return nil, err
 		}
@@ -43,19 +45,20 @@ func E4Failover(cfg E4Config) ([]E4Row, error) {
 			Nodes:   n,
 			GapSecs: gap.Seconds(),
 			Paper:   "under two seconds (\"about 2-seconds hick-up\")",
+			Report:  report,
 		})
 	}
 	return rows, nil
 }
 
-func failoverGap(n int, cfg E4Config) (time.Duration, error) {
+func failoverGap(n int, cfg E4Config) (time.Duration, string, error) {
 	c, err := rainwall.NewCluster(rainwall.ClusterConfig{N: n, Ring: core.PaperRing()})
 	if err != nil {
-		return 0, err
+		return 0, "", err
 	}
 	defer c.Close()
 	if err := c.WaitReady(30 * time.Second); err != nil {
-		return 0, err
+		return 0, "", err
 	}
 	// Offer load the survivors can absorb, so recovery is visible as a
 	// return to the pre-failure rate.
@@ -90,11 +93,12 @@ func failoverGap(n int, cfg E4Config) (time.Duration, error) {
 			break
 		}
 	}
+	report := c.FailoverReport(samples, cfg.FailAt, cfg.TickLen)
 	if recovered < 0 {
-		return 0, fmt.Errorf("E4: %d-node cluster never recovered (pre=%.1f Mbps)",
-			n, tickBits/cfg.TickLen.Seconds()/1e6)
+		return 0, "", fmt.Errorf("E4: %d-node cluster never recovered (pre=%.1f Mbps)\n%s",
+			n, tickBits/cfg.TickLen.Seconds()/1e6, report)
 	}
-	return time.Duration(recovered-cfg.FailAt) * cfg.TickLen, nil
+	return time.Duration(recovered-cfg.FailAt) * cfg.TickLen, report, nil
 }
 
 // E4Table renders the fail-over results.

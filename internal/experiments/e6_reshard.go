@@ -33,9 +33,10 @@ type E6Config struct {
 	// FromShards and ToShards bound the grow sequence (one grid-wide
 	// Grow per step).
 	FromShards, ToShards int
-	// TokenHoldMS and MaxBatch fix each ring's deterministic throughput
-	// ceiling exactly as in E5, so the post-grow gain is ring-count
-	// scaling, not CPU noise.
+	// TokenHoldMS and MaxBatch size each ring's token as in E5: at most
+	// MaxBatch frames per hop, and a holder that spends that budget passes
+	// at once, so loaded rings run CPU-bound and the post-grow rate
+	// depends on the host's cores.
 	TokenHoldMS int
 	MaxBatch    int
 	// DDSWorkers is the number of concurrent Set loops per node.
@@ -49,7 +50,7 @@ type E6Config struct {
 	Duration time.Duration
 }
 
-// DefaultE6 mirrors the E5 regime (token-rate-bound rings) growing 2 -> 4.
+// DefaultE6 mirrors the E5 regime (budget-bounded hops) growing 2 -> 4.
 func DefaultE6() E6Config {
 	return E6Config{
 		N:            4,

@@ -40,8 +40,8 @@ type E8Config struct {
 	// Shards is the FIXED ring count: reads must scale with nodes even
 	// when the ordered capacity does not change.
 	Shards int
-	// TokenHoldMS and MaxBatch pin each ring's ordered ceiling to the
-	// token rate, matching E5's write regime for comparability.
+	// TokenHoldMS and MaxBatch size each ring's token as in E5's write
+	// regime, for comparability.
 	TokenHoldMS int
 	MaxBatch    int
 	// WriteWorkers is the closed-loop Set workers per node (the E5

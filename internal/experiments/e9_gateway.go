@@ -50,8 +50,8 @@ type E9Config struct {
 	// Nodes and Shards size the backing cluster.
 	Nodes  int
 	Shards int
-	// TokenHoldMS and MaxBatch pin the rings' ordered ceiling (the cost
-	// of a fence).
+	// TokenHoldMS and MaxBatch size the rings' token (a fence waits for
+	// one visit).
 	TokenHoldMS int
 	MaxBatch    int
 	// Clients is the closed-loop concurrent HTTP client count (the

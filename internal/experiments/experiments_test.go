@@ -114,7 +114,7 @@ func TestE4FailoverUnderTwoSeconds(t *testing.T) {
 		t.Fatal(err)
 	}
 	if rows[0].GapSecs > 2.0 {
-		t.Fatalf("failover gap %.2fs exceeds the paper's two seconds", rows[0].GapSecs)
+		t.Fatalf("failover gap %.2fs exceeds the paper's two seconds\n%s", rows[0].GapSecs, rows[0].Report)
 	}
 	_ = E4Table(rows, cfg).String()
 }

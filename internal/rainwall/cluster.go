@@ -2,11 +2,14 @@ package rainwall
 
 import (
 	"fmt"
+	"sort"
+	"strings"
 	"sync"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/ring"
+	"repro/internal/stats"
 	"repro/internal/vip"
 	"repro/internal/wire"
 )
@@ -118,18 +121,23 @@ func (c *Cluster) WaitReady(timeout time.Duration) error {
 	return fmt.Errorf("rainwall: VIPs not bound within %v: %v", timeout, c.Subnet.Bindings())
 }
 
-func (c *Cluster) allBound() bool {
+func (c *Cluster) allBound() bool { return c.staleVIPs() == 0 }
+
+// staleVIPs counts the VIPs that are unbound or bound to a failed or
+// unknown gateway.
+func (c *Cluster) staleVIPs() int {
+	stale := 0
 	for _, ip := range c.Pool {
 		mac, ok := c.Subnet.Lookup(ip)
 		if !ok {
-			return false
+			stale++
+			continue
 		}
-		id, known := c.lookupMAC(mac)
-		if !known || c.isDown(id) {
-			return false
+		if id, known := c.lookupMAC(mac); !known || c.isDown(id) {
+			stale++
 		}
 	}
-	return true
+	return stale
 }
 
 func (c *Cluster) lookupMAC(mac vip.MAC) (core.NodeID, bool) {
@@ -140,11 +148,15 @@ func (c *Cluster) lookupMAC(mac vip.MAC) (core.NodeID, bool) {
 }
 
 // FailNode simulates the unplugged network cable of §3.2: the node is cut
-// off from the cluster and from traffic, but keeps running.
+// off from the cluster and from traffic, but keeps running. Its link to
+// the subnet goes down with the cable: the cut-off node still believes it
+// owns virtual IPs, and without this its gratuitous ARPs would keep
+// pulling them back from the survivors.
 func (c *Cluster) FailNode(id core.NodeID) {
 	c.mu.Lock()
 	c.down[id] = true
 	c.mu.Unlock()
+	c.Subnet.SetLinkDown(MACOf(id), true)
 	c.TC.Net.SetNodeDown(core.Addr(id), true)
 }
 
@@ -153,6 +165,7 @@ func (c *Cluster) RecoverNode(id core.NodeID) {
 	c.mu.Lock()
 	delete(c.down, id)
 	c.mu.Unlock()
+	c.Subnet.SetLinkDown(MACOf(id), false)
 	c.TC.Net.SetNodeDown(core.Addr(id), false)
 }
 
@@ -321,4 +334,42 @@ func SteadyThroughput(samples []TickSample, skip int) float64 {
 		return 0
 	}
 	return bits / dur.Seconds()
+}
+
+// FailoverReport explains a fail-over run, for a failed recovery check:
+// each tick's delivered and lost Mbps from the failure tick on, then every
+// surviving gateway's ring membership, packet-engine members and 911
+// regeneration count, and how many VIPs still resolve to a failed or
+// unknown gateway. A survivor stuck without the token shows in its
+// membership and regenerations; a starved run shows a full membership
+// with delivery below the bar.
+func (c *Cluster) FailoverReport(samples []TickSample, failAt int, tickLen time.Duration) string {
+	var b strings.Builder
+	mbps := func(bits float64) string { return fmt.Sprintf("%.0f", bits/tickLen.Seconds()/1e6) }
+	if failAt > len(samples) {
+		failAt = len(samples)
+	}
+	fmt.Fprintf(&b, "delivered Mbps per tick from tick %d:", failAt)
+	for _, s := range samples[failAt:] {
+		b.WriteString(" " + mbps(s.DeliveredBits))
+	}
+	fmt.Fprintf(&b, "\nlost Mbps per tick from tick %d:", failAt)
+	for _, s := range samples[failAt:] {
+		b.WriteString(" " + mbps(s.LostBits))
+	}
+	ids := make([]core.NodeID, 0, len(c.Gateways))
+	for id := range c.Gateways {
+		ids = append(ids, id)
+	}
+	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	for _, id := range ids {
+		if c.isDown(id) {
+			continue
+		}
+		g := c.Gateways[id]
+		fmt.Fprintf(&b, "\nsurvivor %v: members %v, engine %v, token_regens %d",
+			id, g.Node.Members(), g.Engine.Members(), g.Node.Stats().Counter(stats.MetricTokenRegens).Load())
+	}
+	fmt.Fprintf(&b, "\nVIPs unbound or on a failed gateway: %d of %d", c.staleVIPs(), len(c.Pool))
+	return b.String()
 }

@@ -139,7 +139,8 @@ func TestFailoverUnderTwoSeconds(t *testing.T) {
 		}
 	}
 	if recovered < 0 {
-		t.Fatalf("traffic never recovered after failover (pre=%.1f Mbps)", preTick/tick.Seconds()/1e6)
+		t.Fatalf("traffic never recovered after failover (pre=%.1f Mbps)\n%s",
+			preTick/tick.Seconds()/1e6, c.FailoverReport(samples, failAt, tick))
 	}
 	// The failure must actually be visible: some tick under the threshold.
 	dipped := false
@@ -149,11 +150,11 @@ func TestFailoverUnderTwoSeconds(t *testing.T) {
 		}
 	}
 	if recovered > failAt && !dipped {
-		t.Fatal("recovery index moved without an observable dip")
+		t.Fatalf("recovery index moved without an observable dip\n%s", c.FailoverReport(samples, failAt, tick))
 	}
 	gap := time.Duration(recovered-failAt) * tick
 	if gap > 2*time.Second {
-		t.Fatalf("failover took %v, paper promises under two seconds", gap)
+		t.Fatalf("failover took %v, paper promises under two seconds\n%s", gap, c.FailoverReport(samples, failAt, tick))
 	}
 	t.Logf("failover gap = %v (pre-failure %.1f Mbps)", gap, preTick/tick.Seconds()/1e6)
 }

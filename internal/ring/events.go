@@ -52,8 +52,9 @@ const (
 	// TimerTokenHold fires when the node's rest with the token is over
 	// and it should pass (§2.2). The state machine arms it on each arrival
 	// for that possession's share of the rotation's rest budget (see
-	// Config.TokenHold), or not at all when it passes on arrival; a
-	// singleton ring never re-arms it.
+	// Config.TokenHold), or not at all when it passes on arrival, and stops
+	// it when a submission spends the attach budget mid-possession
+	// (Config.MaxBatch); a singleton ring never re-arms it.
 	TimerTokenHold TimerKind = iota
 	// TimerHungry fires when HUNGRY has lasted long enough to suspect
 	// token loss (§2.3).
@@ -210,10 +211,12 @@ type Action interface{ isAction() }
 
 // ActSendToken asks the runtime to send the token via the reliable
 // transport and to report EvTokenAcked or EvTokenSendFailed for the
-// token's (epoch, seq).
+// token's (epoch, seq). Spent marks a pass made because the possession
+// attached everything its attach budget allows (Config.MaxBatch).
 type ActSendToken struct {
-	To  wire.NodeID
-	Tok *wire.Token
+	To    wire.NodeID
+	Tok   *wire.Token
+	Spent bool
 }
 
 // ActSend911 sends a 911 request; the runtime reports Ev911SendFailed on

@@ -59,13 +59,21 @@ type simNode struct {
 	gotAt   time.Duration
 	resting bool
 	passes  []simPass
+	// holdFor is the arrival of the possession that armed the hold timer
+	// (holdArmed: it was armed while resting); strayHolds counts hold-timer
+	// fires that outlived that possession.
+	holdFor    time.Duration
+	holdArmed  bool
+	strayHolds int
 }
 
 // simPass is one token pass: when it was sent, how long the possession
-// it ended rested, and whether it was made on arrival.
+// it ended rested, whether it was made on arrival, and whether it was made
+// because the possession's attach budget was spent.
 type simPass struct {
 	at, rest  time.Duration
 	onArrival bool
+	spent     bool
 }
 
 type cluster struct {
@@ -184,7 +192,7 @@ func (c *cluster) apply(id wire.NodeID, acts []Action) {
 		switch act := a.(type) {
 		case ActSendToken:
 			if n.resting && !act.Tok.TBM {
-				n.passes = append(n.passes, simPass{at: c.now, rest: c.now - n.gotAt, onArrival: c.arriving})
+				n.passes = append(n.passes, simPass{at: c.now, rest: c.now - n.gotAt, onArrival: c.arriving, spent: act.Spent})
 				n.resting = false
 			}
 			if c.reachable(id, act.To) {
@@ -210,6 +218,9 @@ func (c *cluster) apply(id wire.NodeID, acts []Action) {
 				c.schedule(c.delay, act.To, EvBodyodorReceived{M: act.M}, nil)
 			}
 		case ActSetTimer:
+			if act.Kind == TimerTokenHold {
+				n.holdFor, n.holdArmed = n.gotAt, n.resting
+			}
 			n.timers[act.Kind]++ // invalidates any previously scheduled fire
 			c.schedule(act.D, id, EvTimer{Kind: act.Kind}, &timerRef{kind: act.Kind, gen: n.timers[act.Kind]})
 		case ActStopTimer:
@@ -244,6 +255,10 @@ func (c *cluster) run(until time.Duration) {
 		}
 		if e.timer != nil && n.timers[e.timer.kind] != e.timer.gen {
 			continue // timer was re-armed or stopped since scheduling
+		}
+		if e.timer != nil && e.timer.kind == TimerTokenHold && n.holdArmed &&
+			(!n.resting || n.gotAt != n.holdFor) {
+			n.strayHolds++
 		}
 		c.step(e.node, e.ev)
 	}

@@ -9,15 +9,18 @@ import (
 
 // TestMaxBatchBoundsAttachmentsPerHop submits more messages than the batch
 // bound and checks each token visit attaches at most MaxBatch, draining
-// the backlog over successive visits in FIFO order.
+// the backlog over successive visits in FIFO order. A visit that spends
+// the budget passes on arrival; the others rest until the hold timer.
 func TestMaxBatchBoundsAttachmentsPerHop(t *testing.T) {
 	s := New(Config{ID: 2, MaxBatch: 3})
 	s.Step(EvStart{})
 	var attached []string
-	visit := func(seq uint64) int {
+	visit := func(seq uint64, spent bool) int {
 		tok := &wire.Token{Epoch: 5, Seq: seq, Members: []wire.NodeID{1, 2, 3}}
-		s.Step(EvTokenReceived{From: 1, Tok: tok})
-		acts := s.Step(EvTimer{Kind: TimerTokenHold})
+		acts := s.Step(EvTokenReceived{From: 1, Tok: tok})
+		if !spent {
+			acts = s.Step(EvTimer{Kind: TimerTokenHold})
+		}
 		sent := sentTokens(acts)
 		if len(sent) != 1 {
 			t.Fatalf("visit seq=%d: %d tokens sent, want 1", seq, len(sent))
@@ -35,7 +38,7 @@ func TestMaxBatchBoundsAttachmentsPerHop(t *testing.T) {
 	}
 	// First visit adopts the ring membership and hands the token off, so
 	// the backlog below queues while the token is elsewhere.
-	if got := visit(1); got != 0 {
+	if got := visit(1, false); got != 0 {
 		t.Fatalf("assembly visit attached %d, want 0", got)
 	}
 	for i := 0; i < 8; i++ {
@@ -44,13 +47,13 @@ func TestMaxBatchBoundsAttachmentsPerHop(t *testing.T) {
 	// Token visits: 3 + 3 + 2, never more than MaxBatch per hop. Between
 	// visits the token is elsewhere, so each visit sees a fresh token
 	// (older attachments pruned after their full round).
-	if got := visit(10); got != 3 {
+	if got := visit(10, true); got != 3 {
 		t.Fatalf("first visit attached %d, want 3", got)
 	}
-	if got := visit(20); got != 3 {
+	if got := visit(20, true); got != 3 {
 		t.Fatalf("second visit attached %d, want 3", got)
 	}
-	if got := visit(30); got != 2 {
+	if got := visit(30, false); got != 2 {
 		t.Fatalf("third visit attached %d, want 2", got)
 	}
 	for i, p := range attached {
@@ -62,21 +65,27 @@ func TestMaxBatchBoundsAttachmentsPerHop(t *testing.T) {
 
 // TestMaxBatchCapsSubmitsDuringPossession checks the budget is per token
 // possession, not per attach call: submissions arriving while the node
-// holds the token attach immediately only until the budget is spent.
+// holds the token attach immediately only until the budget is spent, and
+// the submission that spends it passes the token.
 func TestMaxBatchCapsSubmitsDuringPossession(t *testing.T) {
 	s := New(Config{ID: 2, MaxBatch: 3})
 	s.Step(EvStart{})
 	// Receive the ring token and keep holding it (no hold-timer fire).
 	s.Step(EvTokenReceived{From: 1, Tok: &wire.Token{Epoch: 5, Seq: 1, Members: []wire.NodeID{1, 2, 3}}})
 	var immediate int
+	var sent []ActSendToken
 	for i := 0; i < 10; i++ {
-		immediate += len(deliveries(s.Step(EvSubmit{Payload: []byte("x")})))
+		acts := s.Step(EvSubmit{Payload: []byte("x")})
+		immediate += len(deliveries(acts))
+		if p := sentTokens(acts); len(p) > 0 && i != 2 {
+			t.Fatalf("submission %d passed the token, want the third (the budget)", i+1)
+		}
+		sent = append(sent, sentTokens(acts)...)
 	}
 	if immediate != 3 {
 		t.Fatalf("%d immediate attach-deliveries while holding, want 3 (the budget)", immediate)
 	}
 	// Passing and re-acquiring refreshes the budget and drains the rest.
-	sent := sentTokens(s.Step(EvTimer{Kind: TimerTokenHold}))
 	if len(sent) != 1 {
 		t.Fatalf("%d tokens sent, want 1", len(sent))
 	}
@@ -115,12 +124,13 @@ func TestMaxBatchExemptsMasterLockHolder(t *testing.T) {
 func TestMaxBatchResetOn911Regeneration(t *testing.T) {
 	s := New(Config{ID: 1, MaxBatch: 3})
 	s.Step(EvStart{})
-	// Join a ring, exhaust the budget, pass the token on.
+	// Join a ring, exhaust the budget, pass the token on: the submission
+	// that spends the budget passes.
 	s.Step(EvTokenReceived{From: 2, Tok: &wire.Token{Epoch: 2, Seq: 10, Members: []wire.NodeID{1, 2, 3}}})
+	var sent []ActSendToken
 	for i := 0; i < 3; i++ {
-		s.Step(EvSubmit{Payload: []byte("x")})
+		sent = append(sent, sentTokens(s.Step(EvSubmit{Payload: []byte("x")}))...)
 	}
-	sent := sentTokens(s.Step(EvTimer{Kind: TimerTokenHold}))
 	if len(sent) != 1 {
 		t.Fatalf("%d tokens sent, want 1", len(sent))
 	}

@@ -99,8 +99,18 @@ func TestRestEveryMemberActiveKeepsFixedSchedule(t *testing.T) {
 	// visit each member's passes must follow the fixed schedule exactly.
 	// Assembly order depends on map iteration, so the rings may differ in
 	// phase: compare the spacing of each member's passes, not their times.
+	// An attach budget the outboxes stay below (about 30 multicasts a
+	// visit against 64) changes nothing: only a spent budget passes early.
+	for _, maxBatch := range []int{0, 64} {
+		t.Run(fmt.Sprintf("MaxBatch=%d", maxBatch), func(t *testing.T) {
+			everyMemberActiveKeepsFixedSchedule(t, maxBatch)
+		})
+	}
+}
+
+func everyMemberActiveKeepsFixedSchedule(t *testing.T, maxBatch int) {
 	seed := newCluster(t, restCfg(ring4...), ring4...)
-	placed := newCluster(t, restCfg(ring4...), ring4...)
+	placed := newCluster(t, budgetCfg(maxBatch), ring4...)
 	for _, c := range []*cluster{seed, placed} {
 		c.unstamped = true
 		c.assemble()
@@ -123,6 +133,11 @@ func TestRestEveryMemberActiveKeepsFixedSchedule(t *testing.T) {
 	}
 	for _, id := range ring4 {
 		placed.requireRests(id, start, restHold, 50)
+		for _, p := range placed.passesSince(id, start) {
+			if p.spent {
+				t.Fatalf("node %v spent the budget at %v", id, p.at)
+			}
+		}
 		got, want := gaps(placed.passesSince(id, start)), gaps(seed.passesSince(id, start))
 		if d := len(got) - len(want); d < -1 || d > 1 {
 			t.Fatalf("node %v: %d passes placed vs %d fixed", id, len(got)+1, len(want)+1)
@@ -280,10 +295,15 @@ func TestRestPlacementAllocs(t *testing.T) {
 	// One possession — arrival with two piggybacked messages, hold-timer
 	// fire, pass acknowledged — stamped against unstamped (the fixed-hold
 	// path): placement bookkeeping must not allocate. Idle members pass
-	// on arrival; active ones rest.
-	for _, active := range []bool{false, true} {
+	// on arrival; active ones rest, or pass on arrival once a one-message
+	// budget is spent.
+	for _, tc := range []struct {
+		active   bool
+		maxBatch int
+	}{{false, 0}, {true, 0}, {true, 1}} {
+		active := tc.active
 		cycle := func(stamped bool) float64 {
-			s := New(Config{ID: 1})
+			s := New(Config{ID: 1, MaxBatch: tc.maxBatch})
 			s.Step(EvStart{})
 			members := []wire.NodeID{1, 2, 3}
 			payload := make([]byte, 64)
@@ -310,7 +330,7 @@ func TestRestPlacementAllocs(t *testing.T) {
 			})
 		}
 		if placed, fixed := cycle(true), cycle(false); placed > fixed {
-			t.Fatalf("active=%v: %.1f allocs per possession placed, %.1f fixed", active, placed, fixed)
+			t.Fatalf("active=%v MaxBatch=%d: %.1f allocs per possession placed, %.1f fixed", active, tc.maxBatch, placed, fixed)
 		}
 	}
 }

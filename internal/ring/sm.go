@@ -19,8 +19,10 @@ type Config struct {
 	// which the members with work share (§2.2's regular interval, placed
 	// where the writes are; see restFor). A member with work rests at
 	// least TokenHold, so a ring where every member has work at every
-	// visit passes exactly as the paper's fixed hold does; an arrival
-	// without a timestamp (EvTokenReceived.At) also rests TokenHold.
+	// visit, below its attach budget, passes exactly as the paper's fixed
+	// hold does; an arrival without a timestamp (EvTokenReceived.At) also
+	// rests TokenHold. A member that spends its attach budget (MaxBatch)
+	// does not rest at all.
 	TokenHold time.Duration
 	// HungryTimeout is how long HUNGRY lasts before STARVING. It also
 	// caps the rest budget at half its length, so a member never waits
@@ -39,25 +41,29 @@ type Config struct {
 	// below this size — the paper's quorum-decider strategy (§2.4).
 	MinQuorum int
 	// MaxBatch, when > 0, bounds how many queued multicasts this node
-	// attaches to the token per hop; the rest wait for the next visit.
-	// Bounding the batch keeps token frames within datagram limits and
-	// gives each ring a deterministic per-hop throughput ceiling (which
-	// the E5 shard-scaling benchmark measures against). Zero means
-	// unlimited. Singleton rings ignore the bound: their token never
-	// travels, so batching has nothing to protect. A master-lock holder
-	// (§2.7) is also exempt — capping it would deadlock an application
-	// that awaits its own multicast before unlocking — so everything it
-	// submits during the hold travels in one frame on release; do not
-	// bulk-multicast under the lock if datagram size is the reason for
-	// the bound. Oversized frames no longer destroy the pass — the
-	// runtime chunks them across datagrams — but the budget is still what
-	// keeps steady-state tokens single-datagram.
+	// attaches to the token per hop (its attach budget, §2.6); the rest
+	// wait for the next visit. The bound keeps token frames within
+	// datagram limits and caps each member's share of a visit, and a
+	// spent budget ends the visit: the holder passes on arrival, or at the
+	// submission that spends it, instead of resting with nothing left that
+	// it may send, so a loaded ring turns the token as fast as its members
+	// can process it. Zero means unlimited (the holder rests as placed).
+	// Singleton rings ignore the bound: their token never travels, so
+	// batching has nothing to protect. A master-lock holder (§2.7) is also
+	// exempt — capping it would deadlock an application that awaits its
+	// own multicast before unlocking — so everything it submits during the
+	// hold travels in one frame on release; do not bulk-multicast under
+	// the lock if datagram size is the reason for the bound. Oversized
+	// frames no longer destroy the pass — the runtime chunks them across
+	// datagrams — but the budget is still what keeps steady-state tokens
+	// single-datagram.
 	MaxBatch int
 	// AdaptiveBatch lets the runtime retune the attach budget online via
 	// EvSetBatchBudget, from observed token round-trip time and datagram
 	// headroom. MaxBatch then serves as the initial (and minimum) budget;
 	// zero MaxBatch with AdaptiveBatch starts unlimited until the first
-	// adjustment arrives.
+	// adjustment arrives. Until then a holder that fills the initial
+	// budget still rests; only an adjusted budget ends a visit early.
 	AdaptiveBatch bool
 	// SeqBase seeds this node's per-origin multicast sequence numbers.
 	// It must be higher than any sequence the node used in a previous
@@ -280,7 +286,7 @@ func (s *SM) Step(ev Event) []Action {
 		if s.holding {
 			s.holding = false
 			if s.possessed != nil && !s.passing {
-				s.passToken(&acts)
+				s.passToken(&acts, false)
 			}
 		}
 	case EvLeave:
@@ -362,10 +368,33 @@ func (s *SM) noteCopy(tok *wire.Token) {
 // holds the token. This matters in two cases: a singleton's token never
 // travels, and a node pinning the token with the master lock (§2.7) would
 // otherwise deadlock waiting for its own multicast to attach.
+//
+// A submission that spends the possession's attach budget passes the token
+// at once: nothing more may ride it here. The pass is stamped at the
+// arrival (the state machine has no clock on a submit), and the hold timer
+// armed for the planned rest is stopped so it cannot fire into a later
+// possession.
 func (s *SM) flushIfPossessed(acts *[]Action) {
-	if s.possessed != nil && !s.passing && len(s.outbox) > 0 {
-		s.attachOutbox(s.possessed, acts)
+	if s.possessed == nil || s.passing || len(s.outbox) == 0 {
+		return
 	}
+	s.attachOutbox(s.possessed, acts)
+	if s.budgetSpent() {
+		s.passAt = s.arrivedAt
+		*acts = append(*acts, ActStopTimer{Kind: TimerTokenHold})
+		s.passToken(acts, true)
+	}
+}
+
+// budgetSpent reports whether this possession has attached everything its
+// attach budget (§2.6) allows, so holding the token longer only delays the
+// ring. Exempt, as in attachOutbox: a master-lock holder or a pending hold
+// request (§2.7), a singleton, an unlimited budget, and an adaptive budget
+// before its first adjustment (the configured floor is only a seed there).
+func (s *SM) budgetSpent() bool {
+	ceil := s.BatchBudget()
+	return ceil > 0 && s.attachUsed >= ceil && s.possessed != nil && len(s.possessed.Members) > 1 &&
+		!s.holding && !s.holdRequested && !(s.cfg.AdaptiveBatch && s.batchBudget == 0)
 }
 
 // onTimer dispatches timer fires.
@@ -382,7 +411,7 @@ func (s *SM) onTimer(kind TimerKind, acts *[]Action) {
 			}
 			return // master lock held: the token stays (§2.7)
 		}
-		s.passToken(acts)
+		s.passToken(acts, false)
 	case TimerHungry:
 		if s.state != Hungry {
 			return
@@ -485,12 +514,15 @@ func (s *SM) onToken(e EvTokenReceived, acts *[]Action) {
 		s.holding = true
 		*acts = append(*acts, ActHoldGranted{})
 	}
-	rest := s.restFor(e.At, prev)
+	rest, spent := s.restFor(e.At, prev), s.budgetSpent()
+	if spent {
+		rest = 0 // the attach budget is spent: nothing more may ride here
+	}
 	s.passAt = e.At.Add(rest)
 	if rest > 0 {
 		*acts = append(*acts, ActSetTimer{Kind: TimerTokenHold, D: rest})
 	} else if s.possessed != nil && !s.passing && !s.holding {
-		s.passToken(acts) // no work here while the rest is spent elsewhere
+		s.passToken(acts, spent) // idle while the rest is spent elsewhere, or budget spent
 	}
 }
 
@@ -756,8 +788,9 @@ func (s *SM) pruneDelivered(tok *wire.Token) {
 	}
 }
 
-// passToken sends the possessed token to the ring successor (§2.2).
-func (s *SM) passToken(acts *[]Action) {
+// passToken sends the possessed token to the ring successor (§2.2); spent
+// marks a pass made because the possession's attach budget was spent.
+func (s *SM) passToken(acts *[]Action, spent bool) {
 	tok := s.possessed
 	succ := tok.Successor(s.id)
 	if succ == s.id || succ == wire.NoNode {
@@ -781,7 +814,7 @@ func (s *SM) passToken(acts *[]Action) {
 	s.passTo = succ
 	s.passEpoch, s.passSeq = tok.Epoch, tok.Seq
 	s.noteCopy(tok) // our copy reflects the state we sent (§2.3)
-	*acts = append(*acts, ActSendToken{To: succ, Tok: tok.Clone()})
+	*acts = append(*acts, ActSendToken{To: succ, Tok: tok.Clone(), Spent: spent})
 }
 
 // onTokenAcked completes a pass: the successor holds the token now.
@@ -821,7 +854,7 @@ func (s *SM) onTokenSendFailed(e EvTokenSendFailed, acts *[]Action) {
 			return // quorum policy shut us down
 		}
 	}
-	s.passToken(acts)
+	s.passToken(acts, false)
 }
 
 // shutdown stops the node. If it holds the token, the token is passed on

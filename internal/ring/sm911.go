@@ -282,6 +282,6 @@ func (s *SM) flushJoinsIfPossible(acts *[]Action) {
 	// Pass promptly so the joiner receives the token (§2.3): the paper
 	// sends the token to the new node right after admitting it.
 	if !s.holding {
-		s.passToken(acts)
+		s.passToken(acts, false)
 	}
 }

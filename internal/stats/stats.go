@@ -324,6 +324,11 @@ const (
 	// with no work while the ring's rest was spent elsewhere; labeled by
 	// ring.
 	MetricTokenIdlePasses = "token_idle_passes_total"
+	// MetricTokenBudgetPasses counts passes this member made because its
+	// possession attached everything the attach budget (MaxBatch) allows;
+	// labeled by ring. A ring that counts many is budget-bound: a larger
+	// MaxBatch or AdaptiveBatch would carry more per visit.
+	MetricTokenBudgetPasses = "token_budget_passes_total"
 	// MetricDDSBatchFlushes counts write-coalescer flushes: multi-op
 	// opBatch frames submitted to the ordered stream.
 	MetricDDSBatchFlushes = "dds_batch_flushes_total"
