@@ -86,33 +86,6 @@ func BenchmarkE4Failover(b *testing.B) {
 	}
 }
 
-// BenchmarkE5ShardScaling regenerates the sharded multi-ring scaling run:
-// aggregate ordered-multicast throughput and sharded-dds op rate at S in
-// {1, 2, 4} rings over one shared transport. The 4-shard aggregate must
-// clear 2.5x the 1-shard figure; the rows are persisted to BENCH_E5.json
-// as the baseline later scaling PRs diff against.
-func BenchmarkE5ShardScaling(b *testing.B) {
-	cfg := experiments.DefaultE5()
-	for i := 0; i < b.N; i++ {
-		rows, err := experiments.E5ShardScaling(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, r := range rows {
-			b.ReportMetric(r.MulticastPS, fmt.Sprintf("mcast_msgs_s_S%d", r.Shards))
-			b.ReportMetric(r.MulticastX, fmt.Sprintf("mcast_speedup_S%d", r.Shards))
-			b.ReportMetric(r.DDSOpsPS, fmt.Sprintf("dds_ops_s_S%d", r.Shards))
-		}
-		last := rows[len(rows)-1]
-		if last.Shards == 4 && last.MulticastX < 2.5 {
-			b.Fatalf("4-shard multicast speedup %.2fx, want >= 2.5x", last.MulticastX)
-		}
-		if err := experiments.WriteE5JSON("BENCH_E5.json", cfg, rows, nil, nil); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkA1SafeVsAgreed regenerates the ordering-level latency ablation.
 func BenchmarkA1SafeVsAgreed(b *testing.B) {
 	for i := 0; i < b.N; i++ {

@@ -121,9 +121,6 @@ type openConfig struct {
 	storageBackend wal.Backend
 	fsyncMode      string
 	snapshotEvery  int64
-
-	batching    WriteBatching
-	batchingSet bool
 }
 
 // Option customizes Open.
@@ -210,23 +207,6 @@ func WithFsyncMode(mode string) Option { return func(o *openConfig) { o.fsyncMod
 // WithSnapshotEvery compacts a ring's WAL into an atomic snapshot once
 // the log exceeds n bytes (default 4 MiB; <= 0 keeps the default).
 func WithSnapshotEvery(n int64) Option { return func(o *openConfig) { o.snapshotEvery = n } }
-
-// WriteBatching tunes the per-shard write coalescer: concurrent
-// Set/Delete calls on one member merge into a single ordered multi-op
-// frame (one multicast, one WAL record, one fsync for the batch).
-// Batching is ON by default with Linger 0 — the self-clocking mode whose
-// single-writer latency matches the pre-batching path exactly; this
-// option only overrides the defaults or disables it. See the README's
-// "Write path tuning" section.
-type WriteBatching = dds.BatchConfig
-
-// WithWriteBatching overrides the default write-coalescer settings on
-// every shard (including rings attached by later grows). Zero-valued
-// size fields keep their defaults (128 ops / 48 KiB); Disabled reverts
-// the write path to one ordered frame per op.
-func WithWriteBatching(cfg WriteBatching) Option {
-	return func(o *openConfig) { o.batching, o.batchingSet = cfg, true }
-}
 
 // WithStats supplies the metric registry the runtime, transport, shards
 // and retry layer record into (default: a private registry, readable via
@@ -339,9 +319,6 @@ func Open(ctx context.Context, conns []PacketConn, opts ...Option) (*Cluster, er
 			_ = backend.Close()
 		}
 		return nil, opError("open", "", err)
-	}
-	if o.batchingSet {
-		sharded.SetWriteBatching(o.batching)
 	}
 	c := &Cluster{
 		rt:          rt,
@@ -619,8 +596,8 @@ func (c *Cluster) OnApply(fn func(ApplyEvent)) { c.dds.OnApply(fn) }
 // Tx is one multi-key cross-shard transaction under construction:
 // declare the read and write sets, then Commit. Commit re-runs the
 // transaction when it aborts retryably (an epoch flip, a handoff freeze,
-// a snapshot barrier), so the caller only ever sees success, a permanent
-// failure (ErrTxnIndeterminate), or its context expiring.
+// a snapshot barrier), so the caller only ever sees success or its
+// context expiring.
 type Tx struct {
 	c *Cluster
 	t *txn.Txn
@@ -642,9 +619,10 @@ func (t *Tx) Read(key string) *Tx { t.t.Read(key); return t }
 // Commit runs the transaction — lock in global order, pin the epoch,
 // prepare and commit via 2PC — re-running it on retryable aborts until
 // it commits or ctx is done. The returned map holds the read-set values
-// at the serialization point of the attempt that committed.
-// ErrTxnIndeterminate is never retried: the commit may be partially
-// applied and blind re-execution could double-apply it.
+// at the serialization point of the attempt that committed. A
+// transaction whose commit record is ordered reports success even if a
+// phase-2 push failed: the unreached rings converge from the record, so
+// no attempt is ever partially applied.
 func (t *Tx) Commit(ctx context.Context) (map[string][]byte, error) {
 	if err := t.c.alive("txn", ""); err != nil {
 		return nil, err

@@ -179,6 +179,22 @@ func TestClusterSetRidesThroughGrow(t *testing.T) {
 	if got := cls[0].Routing().Epoch; got != epoch0+1 {
 		t.Fatalf("routing epoch = %d, want %d", got, epoch0+1)
 	}
+	// The grow really moved part of the keyspace, and the coordinator
+	// timed the handoff window it paused writes for.
+	var moved int64
+	var pause stats.HistogramSummary
+	for _, cl := range cls {
+		moved += cl.Stats().Counter(stats.MetricReshardKeysMoved).Load()
+		if s := cl.Stats().Histogram(stats.HistReshardPause).Summary(); s.Count > 0 {
+			pause = s
+		}
+	}
+	if moved == 0 {
+		t.Error("the grow moved no keys")
+	}
+	if pause.Count != 1 || pause.Max <= 0 {
+		t.Errorf("handoff pause: %d samples, max %v; want one positive window", pause.Count, pause.Max)
+	}
 	if retries := cls[0].Stats().Counter("cluster_op_retries").Load(); retries > 0 {
 		t.Logf("retry layer absorbed %d rejections", retries)
 	}
@@ -248,7 +264,7 @@ func TestErrorTaxonomy(t *testing.T) {
 			t.Errorf("wrapped %v lost its identity", err)
 		}
 	}
-	permanent := []error{ErrTxnIndeterminate, ErrReshardInProgress, context.Canceled, context.DeadlineExceeded, errors.New("boom")}
+	permanent := []error{ErrReshardInProgress, context.Canceled, context.DeadlineExceeded, errors.New("boom")}
 	for _, err := range permanent {
 		if IsRetryable(err) {
 			t.Errorf("IsRetryable(%v) = true, want false", err)

@@ -8,25 +8,10 @@
 //	rainbench -exp all          # run everything
 //	rainbench -exp e3           # only the Figure 3 reproduction
 //	rainbench -exp e1,e2,a3     # a comma-separated subset
-//	rainbench e5                # positional form of -exp e5
+//	rainbench e2                # positional form of -exp e2
 //
-// e5 (the sharded multi-ring scaling run) persists its rows to
-// BENCH_E5.json (override with -e5-out); e6 (the elastic-resharding run)
-// persists to BENCH_E6.json (-e6-out), e7 (the cross-shard transaction
-// run) to BENCH_E7.json (-e7-out), e8 (the consistency-moded read
-// scaling run) to BENCH_E8.json (-e8-out), e9 (the gateway
-// request-coalescing run) to BENCH_E9.json (-e9-out), e10 (the
-// durability WAL-overhead and crash-restart recovery run) to
-// BENCH_E10.json (-e10-out) and e11 (the end-to-end write-batching run)
-// to BENCH_E11.json (-e11-out); e6 through e11 refuse to overwrite an
-// existing baseline unless -force is given. -quick shrinks e7 through
-// e11 to their CI sizes (seconds), for the per-PR benchmark artifact.
-//
-// -cluster runs the facade-overhead comparison: the same sharded write
-// workload against the raw dds router and through raincore.Cluster's
-// retry wrapper, asserting the wrapper stays within noise of the raw
-// path. Alone it runs only that comparison; with -exp or positional
-// names it runs both.
+// Throughput, latency and recovery of the sharded store are measured by
+// the benchmark module (benchmark/), not here.
 package main
 
 import (
@@ -34,6 +19,7 @@ import (
 	"fmt"
 	"log"
 	"os"
+	"slices"
 	"strings"
 	"time"
 
@@ -41,26 +27,16 @@ import (
 )
 
 func main() {
-	exp := flag.String("exp", "all", "experiments to run: all or a comma list of e1,e2,e3,e4,e5,e6,e7,e8,e9,e10,e11,a1,a2,a3")
-	e5Out := flag.String("e5-out", "BENCH_E5.json", "where e5 persists its baseline rows")
-	e6Out := flag.String("e6-out", "BENCH_E6.json", "where e6 persists its baseline")
-	e7Out := flag.String("e7-out", "BENCH_E7.json", "where e7 persists its baseline")
-	e8Out := flag.String("e8-out", "BENCH_E8.json", "where e8 persists its baseline")
-	e9Out := flag.String("e9-out", "BENCH_E9.json", "where e9 persists its baseline")
-	e10Out := flag.String("e10-out", "BENCH_E10.json", "where e10 persists its baseline")
-	e11Out := flag.String("e11-out", "BENCH_E11.json", "where e11 persists its baseline")
-	force := flag.Bool("force", false, "overwrite an existing e6/e7/e8/e9/e10/e11 baseline")
-	quick := flag.Bool("quick", false, "run e7/e8/e9/e10/e11 at their CI sizes (shorter phases, fewer workers)")
-	clusterMode := flag.Bool("cluster", false, "measure the raincore.Cluster facade's retry-wrapper overhead against the raw sharded-dds path (asserts it is within noise)")
+	exp := flag.String("exp", "all", "experiments to run: all or a comma list of e1,e2,e3,e4,a1,a2,a3")
 	flag.Parse()
 
-	known := []string{"e1", "e2", "e3", "e4", "e5", "e6", "e7", "e8", "e9", "e10", "e11", "a1", "a2", "a3"}
+	known := []string{"e1", "e2", "e3", "e4", "a1", "a2", "a3"}
 	selection := *exp
-	// Positional form: `rainbench e5` == `rainbench -exp e5`. Mixing the
+	// Positional form: `rainbench e2` == `rainbench -exp e2`. Mixing the
 	// two would silently drop one, so it is an error; so is an unknown
 	// name (flag.Parse stops at the first positional argument, which
-	// would otherwise swallow misplaced flags like `rainbench e5
-	// -e5-out=x` without a trace).
+	// would otherwise swallow misplaced flags like `rainbench e2
+	// -exp=e3` without a trace).
 	if args := flag.Args(); len(args) > 0 {
 		expSet := false
 		flag.Visit(func(f *flag.Flag) {
@@ -74,34 +50,14 @@ func main() {
 		selection = strings.Join(args, ",")
 	}
 	want := map[string]bool{}
-	if *clusterMode && selection == "all" && len(flag.Args()) == 0 {
-		// `rainbench -cluster` alone runs only the facade comparison;
-		// combine with -exp (or positional names) to run both.
-		expSet := false
-		flag.Visit(func(f *flag.Flag) {
-			if f.Name == "exp" {
-				expSet = true
-			}
-		})
-		if !expSet {
-			selection = ""
-		}
-	}
 	if strings.TrimSpace(strings.ToLower(selection)) == "all" {
 		for _, e := range known {
 			want[e] = true
 		}
-	} else if selection != "" {
+	} else {
 		for _, e := range strings.Split(selection, ",") {
 			name := strings.TrimSpace(strings.ToLower(e))
-			valid := false
-			for _, k := range known {
-				if name == k {
-					valid = true
-					break
-				}
-			}
-			if !valid {
+			if !slices.Contains(known, name) {
 				log.Fatalf("rainbench: unknown experiment %q (valid: all, %s; flags go before positional names)", name, strings.Join(known, ", "))
 			}
 			want[name] = true
@@ -145,156 +101,6 @@ func main() {
 		}
 		fmt.Println(experiments.E4Table(rows, cfg))
 	}
-	if want["e5"] {
-		cfg := experiments.DefaultE5()
-		rows, err := experiments.E5ShardScaling(cfg)
-		if err != nil {
-			log.Fatalf("E5: %v", err)
-		}
-		fmt.Println(experiments.E5Table(rows, cfg))
-		acfg := experiments.AdaptiveE5()
-		arows, err := experiments.E5ShardScaling(acfg)
-		if err != nil {
-			log.Fatalf("E5 adaptive: %v", err)
-		}
-		fmt.Println(experiments.E5Table(arows, acfg))
-		if err := experiments.WriteE5JSON(*e5Out, cfg, rows, &acfg, arows); err != nil {
-			log.Fatalf("E5: write baseline: %v", err)
-		}
-		fmt.Printf("e5 baseline written to %s\n\n", *e5Out)
-	}
-	if want["e6"] {
-		if _, err := os.Stat(*e6Out); err == nil && !*force {
-			log.Fatalf("rainbench: %s exists; pass -force to overwrite the baseline", *e6Out)
-		}
-		cfg := experiments.DefaultE6()
-		res, err := experiments.E6Resharding(cfg)
-		if err != nil {
-			log.Fatalf("E6: %v", err)
-		}
-		fmt.Println(experiments.E6Table(res, cfg))
-		if err := experiments.WriteE6JSON(*e6Out, cfg, res); err != nil {
-			log.Fatalf("E6: write baseline: %v", err)
-		}
-		fmt.Printf("e6 baseline written to %s\n\n", *e6Out)
-	}
-	if want["e7"] {
-		if _, err := os.Stat(*e7Out); err == nil && !*force {
-			log.Fatalf("rainbench: %s exists; pass -force to overwrite the baseline", *e7Out)
-		}
-		cfg := experiments.DefaultE7()
-		if *quick {
-			cfg = experiments.QuickE7()
-		}
-		res, err := experiments.E7TxnThroughput(cfg)
-		if err != nil {
-			log.Fatalf("E7: %v", err)
-		}
-		fmt.Println(experiments.E7Table(res, cfg))
-		if err := experiments.WriteE7JSON(*e7Out, cfg, res); err != nil {
-			log.Fatalf("E7: write baseline: %v", err)
-		}
-		fmt.Printf("e7 baseline written to %s\n\n", *e7Out)
-	}
-	if want["e8"] {
-		if _, err := os.Stat(*e8Out); err == nil && !*force {
-			log.Fatalf("rainbench: %s exists; pass -force to overwrite the baseline", *e8Out)
-		}
-		cfg := experiments.DefaultE8()
-		if *quick {
-			cfg = experiments.QuickE8()
-		}
-		rows, err := experiments.E8ReadScaling(cfg)
-		if err != nil {
-			log.Fatalf("E8: %v", err)
-		}
-		fmt.Println(experiments.E8Table(rows, cfg))
-		e5Ref := experiments.E5WriteRef(*e5Out)
-		if err := experiments.WriteE8JSON(*e8Out, cfg, rows, e5Ref); err != nil {
-			log.Fatalf("E8: write baseline: %v", err)
-		}
-		fmt.Printf("e8 baseline written to %s\n", *e8Out)
-		if e5Ref > 0 && len(rows) > 0 {
-			last := rows[len(rows)-1]
-			fmt.Printf("e8 write check: %.0f ops/s at %d nodes vs e5 4-shard baseline %.0f ops/s (%.1f%%)\n",
-				last.WriteOpsPS, last.Nodes, e5Ref, 100*last.WriteOpsPS/e5Ref)
-		}
-		fmt.Println()
-	}
-	if want["e9"] {
-		if _, err := os.Stat(*e9Out); err == nil && !*force {
-			log.Fatalf("rainbench: %s exists; pass -force to overwrite the baseline", *e9Out)
-		}
-		cfg := experiments.DefaultE9()
-		if *quick {
-			cfg = experiments.QuickE9()
-		}
-		rows, err := experiments.E9GatewayCoalescing(cfg)
-		if err != nil {
-			log.Fatalf("E9: %v", err)
-		}
-		fmt.Println(experiments.E9Table(rows, cfg))
-		if err := experiments.WriteE9JSON(*e9Out, cfg, rows); err != nil {
-			log.Fatalf("E9: write baseline: %v", err)
-		}
-		fmt.Printf("e9 baseline written to %s\n\n", *e9Out)
-	}
-	if want["e10"] {
-		if _, err := os.Stat(*e10Out); err == nil && !*force {
-			log.Fatalf("rainbench: %s exists; pass -force to overwrite the baseline", *e10Out)
-		}
-		cfg := experiments.DefaultE10()
-		if *quick {
-			cfg = experiments.QuickE10()
-		}
-		res, err := experiments.E10Durability(cfg)
-		if err != nil {
-			log.Fatalf("E10: %v", err)
-		}
-		fmt.Println(experiments.E10Table(res, cfg))
-		if err := experiments.WriteE10JSON(*e10Out, cfg, res); err != nil {
-			log.Fatalf("E10: write baseline: %v", err)
-		}
-		fmt.Printf("e10 baseline written to %s\n", *e10Out)
-		for _, row := range res.Overhead {
-			if row.Mode == "batch" {
-				verdict := "within"
-				if !res.BatchWithinTarget {
-					verdict = "OVER"
-				}
-				fmt.Printf("e10 durability check: fsync batch costs %.1f%% write throughput (%s the 10%% bar); WAL restart %.1fx faster than full retransfer\n\n",
-					row.OverheadPct, verdict, res.SpeedupX)
-			}
-		}
-	}
-	if want["e11"] {
-		if _, err := os.Stat(*e11Out); err == nil && !*force {
-			log.Fatalf("rainbench: %s exists; pass -force to overwrite the baseline", *e11Out)
-		}
-		cfg := experiments.DefaultE11()
-		if *quick {
-			cfg = experiments.QuickE11()
-		}
-		res, err := experiments.E11WriteBatching(cfg)
-		if err != nil {
-			log.Fatalf("E11: %v", err)
-		}
-		fmt.Println(experiments.E11Table(res, cfg))
-		if err := experiments.WriteE11JSON(*e11Out, cfg, res); err != nil {
-			log.Fatalf("E11: write baseline: %v", err)
-		}
-		fmt.Printf("e11 baseline written to %s\n", *e11Out)
-		speedupVerdict := "MISSES"
-		if res.SpeedupWithinTarget {
-			speedupVerdict = "meets"
-		}
-		alwaysVerdict := "OVER"
-		if res.AlwaysWithinTarget {
-			alwaysVerdict = "within"
-		}
-		fmt.Printf("e11 batching check: batched writes %.2fx the unbatched baseline (%s the 3x bar); fsync always costs %.1f%% vs none under group commit at %s (%s the 15%% bar)\n\n",
-			res.BestSpeedupX, speedupVerdict, res.AlwaysOverheadPct, res.AlwaysOverheadBatching, alwaysVerdict)
-	}
 	if want["a1"] {
 		rows, err := experiments.A1SafeVsAgreed(4, 50)
 		if err != nil {
@@ -317,17 +123,6 @@ func main() {
 			log.Fatalf("A3: %v", err)
 		}
 		fmt.Println(experiments.A3Table(rows))
-	}
-	if *clusterMode {
-		cfg := experiments.DefaultEC()
-		res, err := experiments.EClusterOverhead(cfg)
-		if err != nil {
-			if res.RawOpsPS > 0 {
-				fmt.Println(experiments.ECTable(res, cfg))
-			}
-			log.Fatalf("EC: %v", err)
-		}
-		fmt.Println(experiments.ECTable(res, cfg))
 	}
 	fmt.Fprintf(os.Stderr, "total runtime: %v\n", time.Since(start).Round(time.Second))
 }

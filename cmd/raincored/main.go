@@ -156,14 +156,6 @@ func resolveConfig(fs *flag.FlagSet, cfgPath string, peers peerList) (config.Con
 				visitErr = fmt.Errorf("-%s: %v", f.Name, err)
 			}
 			cfg.Node.SnapshotEveryBytes = n
-		case "write-batch-off":
-			cfg.Node.WriteBatchDisabled = get() == "true"
-		case "write-batch-max-ops":
-			cfg.Node.WriteBatchMaxOps = atoi()
-		case "write-batch-max-bytes":
-			cfg.Node.WriteBatchMaxBytes = atoi()
-		case "write-batch-linger":
-			cfg.Node.WriteBatchLingerMS = ms()
 		case "mode":
 			cfg.Mode = get()
 		case "gateway":
@@ -226,10 +218,6 @@ func main() {
 	flag.String("wal-dir", "", "directory for per-ring write-ahead logs and snapshots (empty disables durability)")
 	flag.String("fsync-mode", "batch", "WAL durability point: always, batch or none")
 	flag.Int64("snapshot-every", 4<<20, "compact a ring's WAL into a snapshot past this many bytes")
-	flag.Bool("write-batch-off", false, "disable the per-shard write coalescer (one ordered frame per write)")
-	flag.Int("write-batch-max-ops", 0, "flush a coalesced write frame at this many ops (0 = default 128)")
-	flag.Int("write-batch-max-bytes", 0, "flush a coalesced write frame at this encoded size (0 = default 48KiB)")
-	flag.Duration("write-batch-linger", 0, "longest a buffered write waits for company (0 = self-clocking)")
 	flag.Var(peers, "peer", "peer as id=addr[,addr...]; repeat per peer")
 	flag.Parse()
 
@@ -321,18 +309,6 @@ func main() {
 		logger.Printf("durability on: wal_dir=%s fsync=%s snapshot_every=%d",
 			cfg.Node.WalDir, cfg.Node.FsyncMode, cfg.Node.SnapshotEveryBytes)
 	}
-	if cfg.Node.WriteBatchDisabled || cfg.Node.WriteBatchMaxOps > 0 ||
-		cfg.Node.WriteBatchMaxBytes > 0 || cfg.Node.WriteBatchLingerMS > 0 {
-		opts = append(opts, raincore.WithWriteBatching(raincore.WriteBatching{
-			MaxOps:   cfg.Node.WriteBatchMaxOps,
-			MaxBytes: cfg.Node.WriteBatchMaxBytes,
-			Linger:   time.Duration(cfg.Node.WriteBatchLingerMS) * time.Millisecond,
-			Disabled: cfg.Node.WriteBatchDisabled,
-		}))
-		logger.Printf("write batching: disabled=%v max_ops=%d max_bytes=%d linger=%dms",
-			cfg.Node.WriteBatchDisabled, cfg.Node.WriteBatchMaxOps,
-			cfg.Node.WriteBatchMaxBytes, cfg.Node.WriteBatchLingerMS)
-	}
 	if cfg.Mode == config.ModeGateway {
 		if ro := defaultReadOptions(cfg.Gateway); ro != nil {
 			opts = append(opts, raincore.WithDefaultReadOptions(ro...))
@@ -373,15 +349,14 @@ func main() {
 				}
 				return tx.Commit(ctx)
 			},
-			Registry:        cl.Stats(),
-			DefaultTimeout:  cfg.Gateway.DefaultTimeout(),
-			MaxTimeout:      cfg.Gateway.MaxTimeout(),
-			DisableCoalesce: !cfg.Gateway.Coalesce,
-			CacheTTL:        cfg.Gateway.CacheTTL(),
-			ReadMode:        cfg.Gateway.ReadMode,
-			MaxStaleness:    cfg.Gateway.MaxStaleness(),
-			Lease:           cfg.Gateway.Lease(),
-			MaxInflight:     cfg.Gateway.MaxInflight,
+			Registry:       cl.Stats(),
+			DefaultTimeout: cfg.Gateway.DefaultTimeout(),
+			MaxTimeout:     cfg.Gateway.MaxTimeout(),
+			CacheTTL:       cfg.Gateway.CacheTTL(),
+			ReadMode:       cfg.Gateway.ReadMode,
+			MaxStaleness:   cfg.Gateway.MaxStaleness(),
+			Lease:          cfg.Gateway.Lease(),
+			MaxInflight:    cfg.Gateway.MaxInflight,
 		})
 		if err != nil {
 			log.Fatalf("raincored: %v", err)
@@ -403,8 +378,8 @@ func main() {
 		if err != nil {
 			log.Fatalf("raincored: %v", err)
 		}
-		logger.Printf("gateway on http://%s (GET/PUT/DELETE /kv/{key}, POST /txn, GET /healthz /metrics; coalesce=%v read_mode=%s)",
-			addr, cfg.Gateway.Coalesce, cfg.Gateway.ReadMode)
+		logger.Printf("gateway on http://%s (GET/PUT/DELETE /kv/{key}, POST /txn, GET /healthz /metrics; read_mode=%s)",
+			addr, cfg.Gateway.ReadMode)
 	}
 
 	if d := time.Duration(cfg.Node.AnnounceMS) * time.Millisecond; d > 0 {

@@ -16,9 +16,8 @@ import (
 // caller normally meets the class only when a RetryPolicy's attempt
 // budget runs out.
 //
-// Permanent failures — ErrTxnIndeterminate (a commit may be partially
-// applied), ErrReshardInProgress (re-running would reshard twice),
-// ErrNotHolder, context cancellation — do NOT match.
+// Permanent failures — ErrReshardInProgress (re-running would reshard
+// twice), ErrNotHolder, context cancellation — do NOT match.
 var ErrRetryable = rcerr.ErrRetryable
 
 // IsRetryable reports whether err is a transient failure that can be

@@ -74,21 +74,6 @@ type Node struct {
 	// SnapshotEveryBytes compacts a ring's WAL into a snapshot once the
 	// log exceeds this size (default 4 MiB).
 	SnapshotEveryBytes int64 `json:"snapshot_every_bytes"`
-	// WriteBatchDisabled turns the per-shard write coalescer off: every
-	// Set/Delete submits its own ordered frame, the pre-batching write
-	// path. Batching is on by default.
-	WriteBatchDisabled bool `json:"write_batch_disabled"`
-	// WriteBatchMaxOps flushes a coalesced write frame once this many
-	// ops ride it (default 128).
-	WriteBatchMaxOps int `json:"write_batch_max_ops"`
-	// WriteBatchMaxBytes flushes a coalesced write frame once its
-	// encoding reaches this size (default 48 KiB).
-	WriteBatchMaxBytes int `json:"write_batch_max_bytes"`
-	// WriteBatchLingerMS is the longest a buffered write waits for
-	// company before flushing anyway. 0 (default) is the self-clocking
-	// mode: the first write of a quiet shard flushes immediately and
-	// only concurrent writes coalesce — single-writer latency unchanged.
-	WriteBatchLingerMS int `json:"write_batch_linger_ms"`
 }
 
 // Gateway configures the HTTP/JSON access tier.
@@ -99,9 +84,6 @@ type Gateway struct {
 	DefaultTimeoutMS int `json:"default_timeout_ms"`
 	// MaxTimeoutMS caps a client's ?timeout= request (0 = no cap).
 	MaxTimeoutMS int `json:"max_timeout_ms"`
-	// Coalesce enables fan-in of concurrent fetches for the same
-	// key×mode into one upstream read.
-	Coalesce bool `json:"coalesce"`
 	// CacheTTLMS is the optional per-entry read micro-cache TTL in
 	// milliseconds (0 disables the cache).
 	CacheTTLMS int `json:"cache_ttl_ms"`
@@ -137,7 +119,6 @@ func Default() Config {
 		Gateway: Gateway{
 			DefaultTimeoutMS: 2000,
 			MaxTimeoutMS:     30000,
-			Coalesce:         true,
 			ReadMode:         "eventual",
 			MaxStalenessMS:   50,
 			LeaseMS:          100,
@@ -187,9 +168,6 @@ func (c Config) Validate() error {
 	case "", "always", "batch", "none":
 	default:
 		return fmt.Errorf("node.fsync_mode %q: want always, batch or none", c.Node.FsyncMode)
-	}
-	if c.Node.WriteBatchMaxOps < 0 || c.Node.WriteBatchMaxBytes < 0 || c.Node.WriteBatchLingerMS < 0 {
-		return fmt.Errorf("node.write_batch_* values must be non-negative")
 	}
 	for id := range c.Node.Peers {
 		var n uint32

@@ -3,6 +3,7 @@ package config
 import (
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -21,7 +22,7 @@ func TestLoadOverlaysDefaults(t *testing.T) {
 	  "node": {"id": 7, "listen": ["127.0.0.1:7007"], "rings": 4,
 	           "peers": {"2": ["127.0.0.1:7002", "10.0.0.2:7002"]}},
 	  "gateway": {"listen": "127.0.0.1:9007", "read_mode": "bounded",
-	              "cache_ttl_ms": 5, "coalesce": false}
+	              "cache_ttl_ms": 5}
 	}`)
 	cfg, err := Load(p)
 	if err != nil {
@@ -30,8 +31,8 @@ func TestLoadOverlaysDefaults(t *testing.T) {
 	if cfg.Mode != ModeGateway || cfg.Node.ID != 7 || cfg.Node.Rings != 4 {
 		t.Fatalf("file fields lost: %+v", cfg)
 	}
-	if cfg.Gateway.Coalesce {
-		t.Fatal("explicit coalesce=false was overridden")
+	if cfg.Gateway.ReadMode != "bounded" {
+		t.Fatalf("explicit read_mode was overridden: %q", cfg.Gateway.ReadMode)
 	}
 	if got := cfg.Gateway.CacheTTL(); got.Milliseconds() != 5 {
 		t.Fatalf("cache ttl = %v", got)
@@ -66,6 +67,29 @@ func TestLoadRejects(t *testing.T) {
 	}
 	if _, err := Load(filepath.Join(t.TempDir(), "absent.json")); err == nil {
 		t.Error("Load accepted a missing file")
+	}
+}
+
+// TestLoadRejectsRemovedKeys pins that a file written for an older
+// daemon fails loudly, naming the knob, instead of silently running with
+// a setting that no longer exists.
+func TestLoadRejectsRemovedKeys(t *testing.T) {
+	cases := map[string]string{
+		"write_batch_disabled":  `{"node": {"write_batch_disabled": true}}`,
+		"write_batch_max_ops":   `{"node": {"write_batch_max_ops": 64}}`,
+		"write_batch_max_bytes": `{"node": {"write_batch_max_bytes": 4096}}`,
+		"write_batch_linger_ms": `{"node": {"write_batch_linger_ms": 1}}`,
+		"coalesce":              `{"gateway": {"coalesce": false}}`,
+	}
+	for key, body := range cases {
+		_, err := Load(write(t, body))
+		if err == nil {
+			t.Errorf("Load accepted removed key %q", key)
+			continue
+		}
+		if !strings.Contains(err.Error(), `"`+key+`"`) {
+			t.Errorf("error for removed key %q does not name it: %v", key, err)
+		}
 	}
 }
 

@@ -175,13 +175,6 @@ type Node struct {
 	idlePasses   *stats.Counter
 	budgetPasses *stats.Counter
 
-	// Adaptive attach-budget controller state (loop goroutine only).
-	adaptive     bool
-	holdD        time.Duration
-	rttEWMA      time.Duration
-	msgBytesEWMA float64
-	curBudget    int
-
 	// Snapshot state maintained by the loop, read by API methods.
 	mu          sync.Mutex
 	members     []NodeID
@@ -222,10 +215,6 @@ func newNode(cfg Config) (*Node, error) {
 		// base from the wall clock.
 		cfg.Ring.SeqBase = uint64(time.Now().UnixNano())
 	}
-	holdD := cfg.Ring.TokenHold
-	if holdD <= 0 {
-		holdD = 10 * time.Millisecond // ring.Config's default hold interval
-	}
 	ringLabel := strconv.FormatUint(uint64(cfg.RingID), 10)
 	return &Node{
 		id:           cfg.ID,
@@ -238,8 +227,6 @@ func newNode(cfg Config) (*Node, error) {
 		restHist:     cfg.Registry.Histogram(stats.LabeledName(stats.HistTokenRest, "ring", ringLabel)),
 		idlePasses:   cfg.Registry.Counter(stats.LabeledName(stats.MetricTokenIdlePasses, "ring", ringLabel)),
 		budgetPasses: cfg.Registry.Counter(stats.LabeledName(stats.MetricTokenBudgetPasses, "ring", ringLabel)),
-		adaptive:     cfg.Ring.AdaptiveBatch,
-		holdD:        holdD,
 		events:       make(chan ring.Event, 1024),
 		done:         make(chan struct{}),
 		state:        ring.Down,
@@ -655,9 +642,6 @@ func (n *Node) sendToken(act ring.ActSendToken) {
 	n.observeTokenInterval(now)
 	n.observeRest(now, act)
 	size := wire.EncodedTokenSize(n.ringID, tok)
-	if n.adaptive {
-		n.adaptBatch(tok, size)
-	}
 	if size > transport.MaxSessionFrame {
 		n.sendTokenChunked(to, tok, size)
 		return
@@ -713,68 +697,6 @@ func (n *Node) sendTokenChunked(to wire.NodeID, tok *wire.Token, size int) {
 	}
 }
 
-// adaptBatch retunes the ring's attach budget from what this pass observed.
-// The EWMA encoded size of an attached message and the datagram headroom
-// left after the token header bound how many messages fit one datagram; the
-// observed token round-trip, relative to the configured hold interval,
-// scales how many datagram-fulls one possession should drain — a slow
-// rotation accumulates more backlog per visit, and chunking absorbs the
-// overflow when a burst exceeds a single datagram anyway.
-func (n *Node) adaptBatch(tok *wire.Token, size int) {
-	hdr := *tok
-	hdr.Msgs = nil
-	base := wire.EncodedTokenSize(n.ringID, &hdr)
-	if m := len(tok.Msgs); m > 0 {
-		per := float64(size-base) / float64(m)
-		if n.msgBytesEWMA == 0 {
-			n.msgBytesEWMA = per
-		} else {
-			n.msgBytesEWMA += 0.2 * (per - n.msgBytesEWMA)
-		}
-	}
-	per := n.msgBytesEWMA
-	if per < 16 {
-		per = 16 // prior before the first observation, floor thereafter
-	}
-	headroom := transport.MaxSessionFrame - base
-	if headroom < 0 {
-		headroom = 0
-	}
-	fit := float64(headroom) / per
-	rounds := 1.0
-	if n.rttEWMA > 0 && n.holdD > 0 {
-		rounds = float64(n.rttEWMA) / float64(n.holdD)
-		if rounds < 1 {
-			rounds = 1
-		} else if rounds > 8 {
-			rounds = 8
-		}
-	}
-	budget := int(fit * rounds)
-	const hardCap = 1 << 14
-	if budget > hardCap {
-		budget = hardCap
-	}
-	if budget < 1 {
-		budget = 1
-	}
-	if n.curBudget > 0 {
-		diff := budget - n.curBudget
-		if diff < 0 {
-			diff = -diff
-		}
-		if diff*8 < n.curBudget {
-			return // within the hysteresis band: keep the current budget
-		}
-	}
-	n.curBudget = budget
-	n.reg.Gauge(stats.GaugeAdaptiveBatch).Set(int64(budget))
-	select {
-	case n.events <- ring.EvSetBatchBudget{Budget: budget}:
-	default: // queue full; retune on a later pass
-	}
-}
-
 // observeRest records how long the possession this pass ends rested, and
 // counts the pass if its attach budget was spent or, failing that, if it
 // was made on arrival.
@@ -800,13 +722,7 @@ func (n *Node) observeTokenInterval(now time.Time) {
 	n.lastToken = now
 	n.mu.Unlock()
 	if !last.IsZero() {
-		d := now.Sub(last)
-		n.reg.Histogram(stats.HistTokenRoundTrip).Observe(d)
-		if n.rttEWMA == 0 {
-			n.rttEWMA = d
-		} else {
-			n.rttEWMA += (d - n.rttEWMA) / 5
-		}
+		n.reg.Histogram(stats.HistTokenRoundTrip).Observe(now.Sub(last))
 	}
 }
 

@@ -5,53 +5,18 @@ import (
 	"errors"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/stats"
 )
 
-// BatchConfig tunes the per-replica write coalescer. The zero value is
-// NOT the default — use DefaultBatchConfig (what New installs) and
-// override fields from there.
-type BatchConfig struct {
-	// MaxOps flushes the pending frame once this many writes have
-	// coalesced into it.
-	MaxOps int
-	// MaxBytes flushes the pending frame once its encoding reaches this
-	// size, so a burst of large values cannot build an arbitrarily large
-	// multicast frame.
-	MaxBytes int
-	// Linger is the longest a buffered write waits for company before
-	// the frame flushes anyway. Zero (the default) selects the
-	// self-clocking mode: the first write of a quiet replica flushes
-	// immediately — single-writer latency is exactly the pre-batching
-	// path — and only writes arriving while a frame is in flight
-	// coalesce, flushing when that frame's ordered apply lands. A
-	// positive linger instead always buffers, trading up to that much
-	// latency for larger frames under sparse concurrency.
-	Linger time.Duration
-	// Disabled bypasses coalescing entirely: Set/Delete submit one
-	// single-op frame each, the pre-batching wire shape.
-	Disabled bool
-}
-
-// DefaultBatchConfig is the coalescer configuration New installs:
-// batching on, self-clocking (linger 0), frames capped at 128 ops or
-// 48 KiB, whichever comes first.
-func DefaultBatchConfig() BatchConfig {
-	return BatchConfig{MaxOps: 128, MaxBytes: 48 << 10}
-}
-
-func (c BatchConfig) withDefaults() BatchConfig {
-	if c.MaxOps <= 0 {
-		c.MaxOps = 128
-	}
-	if c.MaxBytes <= 0 {
-		c.MaxBytes = 48 << 10
-	}
-	return c
-}
+// Bounds of one coalesced write frame: it flushes once this many writes
+// have joined it, or once its encoding reaches this size, so a burst of
+// large values cannot build an arbitrarily large multicast frame.
+const (
+	batchMaxOps   = 128
+	batchMaxBytes = 48 << 10
+)
 
 // writeBatcher coalesces concurrent Set/Delete calls on one replica into
 // multi-op opBatch frames, so one ordered multicast (and, downstream,
@@ -63,24 +28,24 @@ func (c BatchConfig) withDefaults() BatchConfig {
 // run with no lock held: Multicast copies the payload on submit, so the
 // frame buffer is recycled for the next batch.
 //
-// Flush triggers, in priority order: the frame fills (MaxOps/MaxBytes);
-// the in-flight frame's ordered apply lands (linger 0); the linger timer
-// fires (linger > 0); the token arrives (backstop — ops buffered since
-// the last visit could not have been ordered earlier anyway, so the
-// token is the natural batch clock).
+// The coalescer is self-clocking: the first write of a quiet replica
+// flushes immediately, so single-writer latency is the plain one-frame
+// path, and only writes arriving while a frame is in flight coalesce.
+// Flush triggers, in priority order: the frame fills (batchMaxOps /
+// batchMaxBytes); the in-flight frame's ordered apply lands; the token
+// arrives (backstop — ops buffered since the last visit could not have
+// been ordered earlier anyway, so the token is the natural batch clock).
 type writeBatcher struct {
 	s *Service
 
 	mu    sync.Mutex
-	cfg   BatchConfig
 	frame []byte   // pending opBatch frame (batchFrameStart'd when count > 0)
 	reqs  []uint64 // reqIDs of the pending frame's entries, in order
 	count int
-	// inFlight paces the self-clocking (linger 0) mode: one frame rides
-	// the ring while the next accumulates; its ordered apply (or covered
-	// ack, or multicast failure) releases the next flush.
+	// inFlight paces the coalescer: one frame rides the ring while the
+	// next accumulates; its ordered apply (or covered ack, or multicast
+	// failure) releases the next flush.
 	inFlight bool
-	timer    *time.Timer
 	spare    []byte // recycled frame buffer
 
 	// hasBuf mirrors count > 0 so the token-arrival hook (which runs on
@@ -102,7 +67,6 @@ func newWriteBatcher(s *Service) *writeBatcher {
 	reg := s.node.Stats()
 	return &writeBatcher{
 		s:        s,
-		cfg:      DefaultBatchConfig(),
 		cFlushes: reg.Counter(stats.MetricDDSBatchFlushes),
 		cOps:     reg.Counter(stats.MetricDDSBatchedOps),
 	}
@@ -128,12 +92,8 @@ func (b *writeBatcher) add(key string, val []byte, del bool, reqID uint64) {
 	var reqs []uint64
 	var n int
 	switch {
-	case b.count >= b.cfg.MaxOps || len(b.frame) >= b.cfg.MaxBytes:
+	case b.count >= batchMaxOps || len(b.frame) >= batchMaxBytes:
 		frame, reqs, n = b.takeLocked()
-	case b.cfg.Linger > 0:
-		if b.timer == nil {
-			b.timer = time.AfterFunc(b.cfg.Linger, b.lingerFire)
-		}
 	case !b.inFlight:
 		b.inFlight = true
 		frame, reqs, n = b.takeLocked()
@@ -157,10 +117,6 @@ func (b *writeBatcher) takeLocked() ([]byte, []uint64, int) {
 	batchFramePatch(frame, n)
 	b.frame, b.reqs, b.count = nil, nil, 0
 	b.hasBuf.Store(false)
-	if b.timer != nil {
-		b.timer.Stop()
-		b.timer = nil
-	}
 	return frame, reqs, n
 }
 
@@ -200,7 +156,7 @@ func (b *writeBatcher) applied() {
 	var frame []byte
 	var reqs []uint64
 	var n int
-	if b.count > 0 && b.cfg.Linger == 0 {
+	if b.count > 0 {
 		b.inFlight = true
 		frame, reqs, n = b.takeLocked()
 	}
@@ -209,22 +165,6 @@ func (b *writeBatcher) applied() {
 		// Post-apply functions run on the node's event loop: flush on a
 		// fresh goroutine (see flushFrame's contract).
 		go b.flushFrame(frame, reqs, n)
-	}
-}
-
-// lingerFire flushes the pending frame when its linger expires.
-func (b *writeBatcher) lingerFire() {
-	b.mu.Lock()
-	b.timer = nil
-	var frame []byte
-	var reqs []uint64
-	var n int
-	if b.count > 0 {
-		frame, reqs, n = b.takeLocked()
-	}
-	b.mu.Unlock()
-	if frame != nil {
-		b.flushFrame(frame, reqs, n)
 	}
 }
 
@@ -246,9 +186,7 @@ func (b *writeBatcher) tokenKick() {
 		var reqs []uint64
 		var n int
 		if b.count > 0 && !b.inFlight {
-			if b.cfg.Linger == 0 {
-				b.inFlight = true
-			}
+			b.inFlight = true
 			frame, reqs, n = b.takeLocked()
 		}
 		b.mu.Unlock()
@@ -260,29 +198,15 @@ func (b *writeBatcher) tokenKick() {
 
 // stop quiesces the batcher at replica shutdown. Buffered entries are
 // dropped — their waiters were already drained with the retryable
-// shutdown error — and the linger timer is disarmed.
+// shutdown error.
 func (b *writeBatcher) stop() {
 	b.mu.Lock()
-	if b.timer != nil {
-		b.timer.Stop()
-		b.timer = nil
-	}
 	b.frame, b.reqs, b.count = nil, nil, 0
 	b.hasBuf.Store(false)
 	b.mu.Unlock()
 }
 
 // --- Service-side glue ---
-
-// SetWriteBatching reconfigures the replica's write coalescer. Call
-// before the node starts; zero-valued size fields take the defaults,
-// and Disabled reverts Set/Delete to single-op frames.
-func (s *Service) SetWriteBatching(cfg BatchConfig) {
-	b := s.batcher
-	b.mu.Lock()
-	b.cfg = cfg.withDefaults()
-	b.mu.Unlock()
-}
 
 // OnWriteBatch registers an observer called with each flushed frame's op
 // count (the gateway feeds its batch-size histogram from this). Safe to
@@ -292,15 +216,6 @@ func (s *Service) OnWriteBatch(fn func(ops int)) {
 	b.mu.Lock()
 	b.onFlush = fn
 	b.mu.Unlock()
-}
-
-// batchingEnabled reports whether Set/Delete should ride the coalescer.
-func (s *Service) batchingEnabled() bool {
-	b := s.batcher
-	b.mu.Lock()
-	off := b.cfg.Disabled
-	b.mu.Unlock()
-	return !off
 }
 
 // doBatched is the coalesced write path: register the waiter exactly

@@ -182,8 +182,7 @@ type Service struct {
 	hookKeys   []string
 
 	// batcher coalesces concurrent Set/Delete calls into multi-op
-	// opBatch frames (batch.go). Installed by New, on by default;
-	// configured via SetWriteBatching before the node starts.
+	// opBatch frames (batch.go). Installed by New.
 	batcher *writeBatcher
 
 	watchers    []func(key string, val []byte, deleted bool)
@@ -437,22 +436,15 @@ func (s *Service) Holder(name string) (core.NodeID, bool) {
 
 // Set writes key=val cluster-wide and returns once the write has applied
 // locally (read-your-writes). Concurrent Sets on one replica coalesce
-// into a single ordered multi-op frame (see batch.go) unless batching
-// was disabled.
+// into a single ordered multi-op frame (see batch.go).
 func (s *Service) Set(ctx context.Context, key string, val []byte) error {
-	if s.batchingEnabled() {
-		return s.doBatched(ctx, key, val, false)
-	}
-	return s.doOp(ctx, func(reqID uint64) []byte { return encodeSet(key, val, reqID) })
+	return s.doBatched(ctx, key, val, false)
 }
 
 // Delete removes a key cluster-wide. Deletes ride the same coalescer as
 // Sets.
 func (s *Service) Delete(ctx context.Context, key string) error {
-	if s.batchingEnabled() {
-		return s.doBatched(ctx, key, nil, true)
-	}
-	return s.doOp(ctx, func(reqID uint64) []byte { return encodeDel(key, reqID) })
+	return s.doBatched(ctx, key, nil, true)
 }
 
 func (s *Service) doOp(ctx context.Context, build func(reqID uint64) []byte) error {
@@ -793,7 +785,7 @@ func (s *Service) onShutdown(reason string) {
 	s.mu.Unlock()
 	// Quiesce the write coalescer after the drain: its buffered entries'
 	// waiters just got the retryable shutdown error, so the frame they
-	// rode in is dead weight — drop it and disarm the linger timer.
+	// rode in is dead weight — drop it.
 	b.stop()
 	if h != nil {
 		h(reason)

@@ -2,8 +2,26 @@ package dds
 
 import (
 	"bytes"
+	"encoding/binary"
 	"testing"
 )
+
+// encodeSet and encodeDel build the single-op Set/Delete frames that
+// builds before write batching put on the wire and in their WALs. Set
+// and Delete now always ride opBatch frames, but replay and the decoder
+// must keep accepting these shapes.
+func encodeSet(key string, val []byte, reqID uint64) []byte {
+	b := header(opSet)
+	b = appendStr(b, key)
+	b = appendBytes(b, val)
+	return binary.LittleEndian.AppendUint64(b, reqID)
+}
+
+func encodeDel(key string, reqID uint64) []byte {
+	b := header(opDel)
+	b = appendStr(b, key)
+	return binary.LittleEndian.AppendUint64(b, reqID)
+}
 
 // FuzzOpBatch feeds arbitrary bytes through the op decoder and checks the
 // write-batch codec end to end: multi-op opBatch frames must round-trip

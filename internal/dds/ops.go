@@ -175,19 +175,6 @@ func encodeCancel(name string, reqID uint64) []byte {
 	return binary.LittleEndian.AppendUint64(b, reqID)
 }
 
-func encodeSet(key string, val []byte, reqID uint64) []byte {
-	b := header(opSet)
-	b = appendStr(b, key)
-	b = appendBytes(b, val)
-	return binary.LittleEndian.AppendUint64(b, reqID)
-}
-
-func encodeDel(key string, reqID uint64) []byte {
-	b := header(opDel)
-	b = appendStr(b, key)
-	return binary.LittleEndian.AppendUint64(b, reqID)
-}
-
 func encodeSnapReq() []byte { return header(opSnapReq) }
 
 // --- write-batch frame codec ---

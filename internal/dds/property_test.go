@@ -118,10 +118,9 @@ func replicasEqual(dc *ddsCluster) bool {
 }
 
 // TestBatchedWritesFreshAcrossGrow is the write-batching companion to
-// TestBoundedStalenessAcrossGrow: with the coalescer forced into its most
-// aggressive shape (1ms linger, so concurrent writes really share
-// multi-op frames), the write-path guarantees must survive a live
-// 2 -> 3 -> 4 ring grow under load:
+// TestBoundedStalenessAcrossGrow: with enough concurrent writers that the
+// self-clocking coalescer really shares multi-op frames, the write-path
+// guarantees must survive a live 2 -> 3 -> 4 ring grow under load:
 //
 //   - session read-your-writes: every session read through ANOTHER
 //     node's router observes the session's latest completed Set, exactly;
@@ -133,9 +132,6 @@ func replicasEqual(dc *ddsCluster) bool {
 // more ops must have ridden batch frames than frames were flushed.
 func TestBatchedWritesFreshAcrossGrow(t *testing.T) {
 	sc := startSharded(t, 2, 2)
-	for _, id := range sc.g.IDs {
-		sc.svcs[id].SetWriteBatching(BatchConfig{Linger: time.Millisecond})
-	}
 	ctx, cancel := context.WithTimeout(context.Background(), 120*time.Second)
 	defer cancel()
 
@@ -165,8 +161,9 @@ func TestBatchedWritesFreshAcrossGrow(t *testing.T) {
 	}
 
 	// Six concurrent session writers on node 1's router: enough traffic
-	// per shard that the 1ms linger windows really merge writes. Each
-	// write is followed by a session read through node 2 — RYW, no slop.
+	// per shard that writes arriving while a frame is in flight really
+	// merge. Each write is followed by a session read through node 2 —
+	// RYW, no slop.
 	const writers = 6
 	counts := make([]int, writers)
 	for w := 0; w < writers; w++ {
@@ -281,6 +278,7 @@ func TestBatchedWritesFreshAcrossGrow(t *testing.T) {
 		flushes += b.cFlushes.Load()
 		ops += b.cOps.Load()
 	}
+	t.Logf("coalescer: %d ops in %d flushes", ops, flushes)
 	if flushes == 0 || ops <= flushes {
 		t.Fatalf("coalescer never formed a multi-op frame (flushes=%d ops=%d); the batched property was not exercised", flushes, ops)
 	}

@@ -42,9 +42,8 @@ type Sharded struct {
 	shards   map[int]*Service // by ring id; includes a mid-handoff target
 	watchers []func(key string, val []byte, deleted bool)
 	applyObs []func(ApplyEvent)
-	// Write-coalescer settings, replayed onto replicas attached by later
-	// grows so every shard batches the same way.
-	batchCfg *BatchConfig
+	// Write-batch observer, replayed onto replicas attached by later
+	// grows.
 	batchObs func(ops int)
 
 	// Handoff observation state (participant side) and coordination
@@ -146,7 +145,7 @@ func (s *Sharded) attachReplica(ringID int, n *core.Node) *Service {
 	copy(watchers, s.watchers)
 	applyObs := make([]func(ApplyEvent), len(s.applyObs))
 	copy(applyObs, s.applyObs)
-	batchCfg, batchObs := s.batchCfg, s.batchObs
+	batchObs := s.batchObs
 	s.mu.Unlock()
 	for _, fn := range watchers {
 		svc.Watch(fn)
@@ -154,26 +153,10 @@ func (s *Sharded) attachReplica(ringID int, n *core.Node) *Service {
 	for _, fn := range applyObs {
 		svc.OnApply(fn)
 	}
-	if batchCfg != nil {
-		svc.SetWriteBatching(*batchCfg)
-	}
 	if batchObs != nil {
 		svc.OnWriteBatch(batchObs)
 	}
 	return svc
-}
-
-// SetWriteBatching configures every shard's write coalescer (current
-// replicas and those attached by later grows). Call before the runtime
-// starts.
-func (s *Sharded) SetWriteBatching(cfg BatchConfig) {
-	s.mu.Lock()
-	s.batchCfg = &cfg
-	shards := s.shards
-	s.mu.Unlock()
-	for _, svc := range shards {
-		svc.SetWriteBatching(cfg)
-	}
 }
 
 // OnWriteBatch registers one observer of flushed batch sizes across

@@ -52,8 +52,9 @@ func E2NetworkOverhead(cfg E2Config) ([]E2Row, error) {
 }
 
 // e2Raincore submits one message per node and counts the wire traffic
-// until everyone has delivered everything, subtracting the token's idle
-// baseline measured over an equal window.
+// from the first submit to the last delivery. Every packet in that window
+// is a token hop (or its acknowledgement) that carried the exchange, so
+// the count needs no idle correction.
 func e2Raincore(n, msgBytes int) (E2Row, error) {
 	ring := core.FastRing()
 	ring.TokenHold = 2 * time.Millisecond
@@ -67,37 +68,24 @@ func e2Raincore(n, msgBytes int) (E2Row, error) {
 	}
 	var mu sync.Mutex
 	got := make(map[core.NodeID]int)
+	delivered := 0
+	var endPkts, endBytes int64
 	done := make(chan struct{})
 	for _, id := range tc.IDs {
 		id := id
 		tc.Nodes[id].SetHandlers(core.Handlers{OnDeliver: func(core.Delivery) {
 			mu.Lock()
+			defer mu.Unlock()
 			got[id]++
-			all := true
-			for _, other := range tc.IDs {
-				if got[other] < n {
-					all = false
-				}
-			}
-			mu.Unlock()
-			if all {
-				select {
-				case <-done:
-				default:
-					close(done)
-				}
+			if delivered++; delivered == n*n {
+				// The last delivery: read the counters here, on the
+				// delivering node's loop, before any later token hop.
+				endPkts, endBytes = sumWire(tc)
+				close(done)
 			}
 		}})
 	}
-	// Idle baseline: token circulation without application messages.
-	idleWindow := 500 * time.Millisecond
-	p0, b0 := sumWire(tc)
-	time.Sleep(idleWindow)
-	p1, b1 := sumWire(tc)
-	idlePkts := float64(p1-p0) / idleWindow.Seconds()
-	idleBytes := float64(b1-b0) / idleWindow.Seconds()
-
-	start := time.Now()
+	startPkts, startBytes := sumWire(tc)
 	for _, id := range tc.IDs {
 		if err := tc.Nodes[id].Multicast(make([]byte, msgBytes)); err != nil {
 			return E2Row{}, err
@@ -108,22 +96,19 @@ func e2Raincore(n, msgBytes int) (E2Row, error) {
 	case <-time.After(30 * time.Second):
 		return E2Row{}, fmt.Errorf("E2: exchange did not complete")
 	}
-	elapsed := time.Since(start)
-	p2, b2 := sumWire(tc)
-	pkts := float64(p2-p1) - idlePkts*elapsed.Seconds()
-	bytes := float64(b2-b1) - idleBytes*elapsed.Seconds()
-	if pkts < 0 {
-		pkts = 0
-	}
-	if bytes < 0 {
-		bytes = 0
+	mu.Lock()
+	defer mu.Unlock()
+	for _, id := range tc.IDs {
+		if got[id] != n {
+			return E2Row{}, fmt.Errorf("E2: node %v delivered %d messages, want %d", id, got[id], n)
+		}
 	}
 	return E2Row{
 		Protocol: "raincore-token",
 		N:        n,
 		MsgBytes: msgBytes,
-		Packets:  int64(pkts),
-		Bytes:    int64(bytes),
+		Packets:  endPkts - startPkts,
+		Bytes:    endBytes - startBytes,
 		Predicted: fmt.Sprintf("~N packets of ~N*M bytes = %d pkts, %d B payload",
 			n, n*n*msgBytes),
 	}, nil
@@ -221,7 +206,7 @@ func E2Table(rows []E2Row, cfg E2Config) *Table {
 		Title:   "E2 (§4.1): network overhead of one all-to-all exchange (every node multicasts one message)",
 		Columns: []string{"protocol", "N", "msg bytes", "packets", "bytes on wire", "paper prediction"},
 		Notes: []string{
-			"raincore numbers are idle-token-corrected; bytes include frame headers",
+			"raincore numbers count every packet from the first submit to the last delivery, acks included; bytes include frame headers",
 			"the token aggregates all N messages into N larger packets; broadcast sends N*(N-1) small ones plus acks",
 		},
 	}

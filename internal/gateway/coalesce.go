@@ -40,9 +40,8 @@ type cacheEntry struct {
 // coalescer deduplicates concurrent fetches per key×mode and optionally
 // micro-caches results for a TTL.
 type coalescer struct {
-	coalesce bool          // fan concurrent fetches into one flight
-	ttl      time.Duration // > 0 enables the micro-cache
-	budget   time.Duration // detached upstream read bound
+	ttl    time.Duration // > 0 enables the micro-cache
+	budget time.Duration // detached upstream read bound
 
 	mu       sync.Mutex
 	inflight map[string]*flight
@@ -54,11 +53,8 @@ type coalescer struct {
 	fanins atomic.Int64
 }
 
-func newCoalescer(coalesce bool, ttl, budget time.Duration) *coalescer {
-	c := &coalescer{coalesce: coalesce, ttl: ttl, budget: budget}
-	if coalesce {
-		c.inflight = make(map[string]*flight)
-	}
+func newCoalescer(ttl, budget time.Duration) *coalescer {
+	c := &coalescer{ttl: ttl, budget: budget, inflight: make(map[string]*flight)}
 	if ttl > 0 {
 		c.cache = make(map[string]cacheEntry)
 	}
@@ -70,7 +66,7 @@ func newCoalescer(coalesce bool, ttl, budget time.Duration) *coalescer {
 type outcome int
 
 const (
-	servedUpstream  outcome = iota // this call was the leader (or ran solo)
+	servedUpstream  outcome = iota // this call was the leader
 	servedCoalesced                // fanned in on another call's flight
 	servedCached                   // micro-cache hit
 )
@@ -78,8 +74,7 @@ const (
 // do serves one read of key at the named mode: from the micro-cache if
 // fresh, by fanning in on an identical in-flight read if one exists, or
 // by leading a new upstream read via fetch. fetch receives a detached
-// context when the read is shared (coalescing on); with coalescing off
-// the caller's own context bounds it.
+// context, because the read is shared.
 func (c *coalescer) do(ctx context.Context, key, mode string, fetch func(context.Context) ([]byte, bool, error)) ([]byte, bool, outcome, error) {
 	fk := mode + "\x00" + key
 	c.mu.Lock()
@@ -91,12 +86,6 @@ func (c *coalescer) do(ctx context.Context, key, mode string, fetch func(context
 			}
 			delete(c.cache, fk)
 		}
-	}
-	if !c.coalesce {
-		c.mu.Unlock()
-		v, ok, err := fetch(ctx)
-		c.store(fk, v, ok, err)
-		return v, ok, servedUpstream, err
 	}
 	if f := c.inflight[fk]; f != nil {
 		c.fanins.Add(1)

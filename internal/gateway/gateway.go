@@ -52,9 +52,9 @@ type TxnRequest struct {
 // TxnFunc makes POST /txn answer 501.
 type TxnFunc func(ctx context.Context, req TxnRequest) (map[string][]byte, error)
 
-// Options configures New. Zero values mean: coalescing on, no
-// micro-cache, eventual default reads, 2s default / 30s max timeout,
-// unlimited inflight, private registry.
+// Options configures New. Zero values mean: no micro-cache, eventual
+// default reads, 2s default / 30s max timeout, unlimited inflight,
+// private registry.
 type Options struct {
 	// Backend serves the data operations (required). Use Pool to spread
 	// over several cluster handles.
@@ -68,9 +68,6 @@ type Options struct {
 	DefaultTimeout time.Duration
 	// MaxTimeout caps client-requested ?timeout= values (default 30s).
 	MaxTimeout time.Duration
-	// DisableCoalesce turns hot-key fan-in off (each request reads
-	// upstream itself); the zero value keeps coalescing on.
-	DisableCoalesce bool
 	// CacheTTL > 0 micro-caches read results per key×mode for the TTL.
 	CacheTTL time.Duration
 	// ReadMode is the consistency served when ?mode= is absent:
@@ -129,7 +126,7 @@ func New(o Options) (*Gateway, error) {
 	}
 	g := &Gateway{
 		o:   o,
-		co:  newCoalescer(!o.DisableCoalesce, o.CacheTTL, o.DefaultTimeout),
+		co:  newCoalescer(o.CacheTTL, o.DefaultTimeout),
 		reg: o.Registry,
 		modes: map[string][]dds.ReadOption{
 			"eventual":     {dds.WithEventual()},

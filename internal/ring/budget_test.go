@@ -228,26 +228,6 @@ func TestBudgetExemptions(t *testing.T) {
 			t.Fatalf("MaxBatch 0 passed %d times mid-possession", len(sent))
 		}
 	})
-	t.Run("adaptive before adjustment", func(t *testing.T) {
-		s := budgetSM(t, Config{MaxBatch: budgetMax, AdaptiveBatch: true})
-		submitN(s, budgetMax+2)
-		acts := arrive(s, 10, 20*time.Millisecond)
-		if !armsHold(acts) || len(sentTokens(acts)) != 0 {
-			t.Fatal("the adaptive floor passed before its first adjustment")
-		}
-		if sent := submitN(s, 1); len(sent) != 0 {
-			t.Fatal("the adaptive floor passed mid-possession before its first adjustment")
-		}
-		sent := sentTokens(s.Step(EvTimer{Kind: TimerTokenHold}))
-		s.Step(EvTokenAcked{To: sent[0].To, Epoch: sent[0].Tok.Epoch, Seq: sent[0].Tok.Seq})
-		// Once adjusted, the adaptive budget is a budget like any other.
-		s.Step(EvSetBatchBudget{Budget: budgetMax + 1})
-		submitN(s, 1)
-		sent = sentTokens(arrive(s, 20, 40*time.Millisecond))
-		if len(sent) != 1 || !sent[0].Spent || ownAttached(sent[0].Tok, 2) != budgetMax+1 {
-			t.Fatalf("adjusted budget: %+v, want a budget pass of %d", sent, budgetMax+1)
-		}
-	})
 }
 
 func TestBudgetIdleRingUnchanged(t *testing.T) {

@@ -181,12 +181,6 @@ type EvCriticalResourceFailed struct{ Resource string }
 // online.
 type EvSetEligible struct{ IDs []wire.NodeID }
 
-// EvSetBatchBudget retunes the per-possession attach budget online. The
-// runtime derives Budget from observed token round-trip time and datagram
-// headroom; it is honored only when Config.AdaptiveBatch is set, and never
-// drops below the configured MaxBatch floor.
-type EvSetBatchBudget struct{ Budget int }
-
 func (EvStart) isEvent()                  {}
 func (EvStartJoining) isEvent()           {}
 func (EvTokenReceived) isEvent()          {}
@@ -204,7 +198,6 @@ func (EvHoldRelease) isEvent()            {}
 func (EvLeave) isEvent()                  {}
 func (EvCriticalResourceFailed) isEvent() {}
 func (EvSetEligible) isEvent()            {}
-func (EvSetBatchBudget) isEvent()         {}
 
 // Action is an output of the state machine, executed by the runtime.
 type Action interface{ isAction() }

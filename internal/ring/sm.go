@@ -56,15 +56,9 @@ type Config struct {
 	// the lock if datagram size is the reason for the bound. Oversized
 	// frames no longer destroy the pass — the runtime chunks them across
 	// datagrams — but the budget is still what keeps steady-state tokens
-	// single-datagram.
+	// single-datagram. The budget is fixed for the node's life; a ring
+	// whose token_budget_passes_total climbs is bound by it.
 	MaxBatch int
-	// AdaptiveBatch lets the runtime retune the attach budget online via
-	// EvSetBatchBudget, from observed token round-trip time and datagram
-	// headroom. MaxBatch then serves as the initial (and minimum) budget;
-	// zero MaxBatch with AdaptiveBatch starts unlimited until the first
-	// adjustment arrives. Until then a holder that fills the initial
-	// budget still rests; only an adjusted budget ends a visit early.
-	AdaptiveBatch bool
 	// SeqBase seeds this node's per-origin multicast sequence numbers.
 	// It must be higher than any sequence the node used in a previous
 	// incarnation, or peers will suppress its messages as duplicates;
@@ -142,9 +136,6 @@ type SM struct {
 	// attachOutbox call, so submissions arriving while the token is
 	// held cannot bypass the per-hop budget.
 	attachUsed int
-	// batchBudget is the runtime-tuned attach budget (EvSetBatchBudget);
-	// zero falls back to cfg.MaxBatch. Only honored with AdaptiveBatch.
-	batchBudget int
 
 	// Rest placement (restFor), all on arrival stamps: arrivedAt is the
 	// current or last possession's arrival (zero: no history yet), passAt
@@ -233,15 +224,6 @@ func (s *SM) HasToken() bool { return s.possessed != nil }
 // mutate the token.
 func (s *SM) PossessedToken() *wire.Token { return s.possessed }
 
-// BatchBudget returns the attach budget currently in force: the adaptive
-// budget when one has been set, cfg.MaxBatch otherwise (0 = unlimited).
-func (s *SM) BatchBudget() int {
-	if s.cfg.AdaptiveBatch && s.batchBudget > 0 {
-		return s.batchBudget
-	}
-	return s.cfg.MaxBatch
-}
-
 // Step applies one event and returns the resulting actions in order.
 func (s *SM) Step(ev Event) []Action {
 	if s.stopped {
@@ -299,16 +281,6 @@ func (s *SM) Step(ev Event) []Action {
 			if id != s.id {
 				s.eligible[id] = true
 			}
-		}
-	case EvSetBatchBudget:
-		if s.cfg.AdaptiveBatch && e.Budget > 0 {
-			b := e.Budget
-			// The configured MaxBatch is the floor: adaptation may only
-			// raise the budget, never starve below the static setting.
-			if s.cfg.MaxBatch > 0 && b < s.cfg.MaxBatch {
-				b = s.cfg.MaxBatch
-			}
-			s.batchBudget = b
 		}
 	}
 	return acts
@@ -389,12 +361,11 @@ func (s *SM) flushIfPossessed(acts *[]Action) {
 // budgetSpent reports whether this possession has attached everything its
 // attach budget (§2.6) allows, so holding the token longer only delays the
 // ring. Exempt, as in attachOutbox: a master-lock holder or a pending hold
-// request (§2.7), a singleton, an unlimited budget, and an adaptive budget
-// before its first adjustment (the configured floor is only a seed there).
+// request (§2.7), a singleton, and an unlimited budget.
 func (s *SM) budgetSpent() bool {
-	ceil := s.BatchBudget()
+	ceil := s.cfg.MaxBatch
 	return ceil > 0 && s.attachUsed >= ceil && s.possessed != nil && len(s.possessed.Members) > 1 &&
-		!s.holding && !s.holdRequested && !(s.cfg.AdaptiveBatch && s.batchBudget == 0)
+		!s.holding && !s.holdRequested
 }
 
 // onTimer dispatches timer fires.
@@ -680,7 +651,7 @@ func (s *SM) attachOutbox(tok *wire.Token, acts *[]Action) {
 	// lock (§2.7) is exempt: its token is not traveling, and capping it
 	// would recreate the deadlock flushIfPossessed exists to prevent —
 	// a lock holder waiting on its own (budget-starved) multicast.
-	if ceil := s.BatchBudget(); ceil > 0 && len(tok.Members) > 1 && !s.holding {
+	if ceil := s.cfg.MaxBatch; ceil > 0 && len(tok.Members) > 1 && !s.holding {
 		budget := ceil - s.attachUsed
 		if budget < 0 {
 			budget = 0

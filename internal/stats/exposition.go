@@ -197,8 +197,7 @@ func (s Snapshot) WriteText(w io.Writer) {
 // exposition: every non-empty line is a comment or `name[{labels}]
 // value [timestamp]` with a well-formed name, balanced label braces and
 // a parseable float value. It is the assertion the gateway smoke tests
-// and the E9 experiment run against a live /metrics scrape; it is not a
-// full grammar.
+// run against a live /metrics scrape; it is not a full grammar.
 func ValidateExposition(r io.Reader) error {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 1024*1024)

@@ -253,10 +253,6 @@ const (
 	// MetricReadSessionWaits counts session reads that had to park until
 	// the local replica caught up to the session's write marks.
 	MetricReadSessionWaits = "read_session_waits"
-	// GaugeAdaptiveBatch is the attach budget currently in force on this
-	// node's ring when adaptive batching is enabled (see
-	// ring.Config.AdaptiveBatch).
-	GaugeAdaptiveBatch = "adaptive_batch_budget"
 	// MetricGatewayRequests counts gateway requests; the gateway labels it
 	// by op, read mode and outcome via LabeledName
 	// (gateway_requests_total{op=...,mode=...,outcome=...}).
@@ -327,7 +323,7 @@ const (
 	// MetricTokenBudgetPasses counts passes this member made because its
 	// possession attached everything the attach budget (MaxBatch) allows;
 	// labeled by ring. A ring that counts many is budget-bound: a larger
-	// MaxBatch or AdaptiveBatch would carry more per visit.
+	// MaxBatch would carry more per visit.
 	MetricTokenBudgetPasses = "token_budget_passes_total"
 	// MetricDDSBatchFlushes counts write-coalescer flushes: multi-op
 	// opBatch frames submitted to the ordered stream.

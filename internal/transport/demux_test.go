@@ -2,7 +2,9 @@ package transport
 
 import (
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/simnet"
 	"repro/internal/stats"
@@ -12,6 +14,15 @@ import (
 // ringFrame encodes a minimal session frame for the given ring.
 func ringFrame(ring wire.RingID, payload []byte) []byte {
 	return wire.EncodeForwardRing(ring, &wire.Forward{From: 1, Payload: payload})
+}
+
+// settle waits up to two seconds for cond. A receiver acknowledges a
+// frame before it dispatches it, so SendSync can return before the demux
+// has routed (or dropped) the frame.
+func settle(cond func() bool) {
+	for deadline := time.Now().Add(2 * time.Second); !cond() && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+	}
 }
 
 func TestDemuxRoutesByRing(t *testing.T) {
@@ -39,6 +50,11 @@ func TestDemuxRoutesByRing(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	settle(func() bool {
+		mu.Lock()
+		defer mu.Unlock()
+		return len(got[0])+len(got[1])+len(got[2]) == 5
+	})
 	mu.Lock()
 	defer mu.Unlock()
 	want := map[wire.RingID]string{0: "bd", 1: "c", 2: "ae"}
@@ -85,6 +101,11 @@ func TestDemuxLegacyFramesReachRing0(t *testing.T) {
 	if err := ta.SendSync(2, v2); err != nil {
 		t.Fatal(err)
 	}
+	settle(func() bool {
+		mu.Lock()
+		defer mu.Unlock()
+		return len(got) == 2
+	})
 	mu.Lock()
 	defer mu.Unlock()
 	if len(got) != 2 || got[0] != "legacy" || got[1] != "legacy" {
@@ -95,8 +116,8 @@ func TestDemuxLegacyFramesReachRing0(t *testing.T) {
 func TestDemuxDropsUnknownRing(t *testing.T) {
 	ta, tb, _ := pair(t, simnet.Profile{}, DefaultConfig())
 	d := NewDemux(tb)
-	delivered := false
-	if err := d.Register(0, func(wire.NodeID, []byte, *wire.Buf) { delivered = true }); err != nil {
+	var delivered atomic.Bool
+	if err := d.Register(0, func(wire.NodeID, []byte, *wire.Buf) { delivered.Store(true) }); err != nil {
 		t.Fatal(err)
 	}
 	// The transport still acknowledges the frame (delivery succeeded at
@@ -104,10 +125,12 @@ func TestDemuxDropsUnknownRing(t *testing.T) {
 	if err := ta.SendSync(2, ringFrame(7, []byte("x"))); err != nil {
 		t.Fatal(err)
 	}
-	if delivered {
+	drops := tb.Stats().Counter(stats.MetricDemuxDrops)
+	settle(func() bool { return drops.Load() > 0 })
+	if delivered.Load() {
 		t.Fatal("frame for ring 7 reached the ring-0 receiver")
 	}
-	if n := tb.Stats().Counter(stats.MetricDemuxDrops).Load(); n != 1 {
+	if n := drops.Load(); n != 1 {
 		t.Fatalf("demux drops = %d, want 1", n)
 	}
 }

@@ -29,17 +29,15 @@
 //	COMMIT   one ordered multicast per participant ring applying the
 //	         staged writes atomically at that ring's position; or ABORT,
 //	         dropping them. Participants whose coordinator was removed
-//	         park the stage for the decide ring's verdict (or, without a
-//	         commit record, presume abort as before).
+//	         park the stage for the decide ring's verdict, and presume
+//	         abort when the coordinator died before ordering a record.
 //	UNLOCK   the keys. Readers that take the locks therefore see every
 //	         write of a committed transaction or none ("atomic
 //	         visibility"); bare Get readers converge per ring.
 //
-// With commit records enabled (the default), Commit never returns
-// ErrIndeterminate: phase-2 failures after the record is ordered report
-// success — the outcome IS commit, and the unreached rings converge from
-// the record. Only WithoutCommitRecords restores the legacy
-// indeterminate window.
+// Commit has no indeterminate outcome: phase-2 failures after the record
+// is ordered report success — the outcome IS commit, and the unreached
+// rings converge from the record. Every error Commit returns is an abort.
 package txn
 
 import (
@@ -94,19 +92,6 @@ type Store interface {
 // — re-run the transaction.
 var ErrAborted = rcerr.New("txn: transaction aborted, retry")
 
-// ErrIndeterminate reports a phase-2 failure after at least one
-// participant ring committed, with NO replicated commit record to
-// resolve the rest: the transaction may be partially applied until the
-// remaining participants resolve it (a crashed coordinator's stages
-// abort at its ordered removal). It is NOT retryable blindly — and it is
-// deliberately NOT wrapped as retryable: errors.Is(err,
-// rcerr.ErrRetryable) must stay false even though the underlying push
-// error often is retryable, so the cause is flattened into the message
-// rather than wrapped. Only coordinators built WithoutCommitRecords can
-// return it; with records (the default) a phase-2 failure after the
-// record is ordered reports success, because the outcome is commit.
-var ErrIndeterminate = errors.New("txn: commit outcome indeterminate")
-
 // defaultDeadline bounds Commit when the caller's context carries none:
 // a transaction that cannot make progress (for example two coordinators
 // on either side of an epoch flip ordering keys differently) must abort
@@ -119,10 +104,9 @@ const commitPush = 10 * time.Second
 
 // Coordinator runs two-phase commits against a Store.
 type Coordinator struct {
-	store   Store
-	pin     func() func() error
-	records bool
-	reg     *stats.Registry
+	store Store
+	pin   func() func() error
+	reg   *stats.Registry
 }
 
 // Option customizes a Coordinator.
@@ -141,26 +125,15 @@ func WithRuntimePin(rt *core.Runtime) Option {
 	}
 }
 
-// WithoutCommitRecords disables the replicated commit record, restoring
-// the legacy presumed-abort protocol: a coordinator crash mid-fan-out
-// aborts the unreached stages at its ordered removal, and a phase-2 push
-// failure surfaces as ErrIndeterminate. Only useful for comparison
-// benchmarks and for clusters that must interoperate with pre-record
-// replicas.
-func WithoutCommitRecords() Option {
-	return func(c *Coordinator) { c.records = false }
-}
-
 // WithStats counts phase-2 pushes handed to the background retrier
 // (stats.MetricTxnPushOrphaned) in the registry.
 func WithStats(reg *stats.Registry) Option {
 	return func(c *Coordinator) { c.reg = reg }
 }
 
-// New builds a Coordinator over the store. Replicated commit records are
-// on by default; see WithoutCommitRecords.
+// New builds a Coordinator over the store.
 func New(store Store, opts ...Option) *Coordinator {
-	c := &Coordinator{store: store, records: true}
+	c := &Coordinator{store: store}
 	c.pin = func() func() error {
 		pinned := store.Epoch()
 		return func() error {
@@ -226,8 +199,7 @@ type shardWrites struct {
 // Commit runs the transaction: lock in global order, pin the epoch, read
 // the read set, prepare and commit the write set. It returns the read
 // values at the transaction's serialization point. On ErrAborted nothing
-// changed anywhere and the transaction can simply be retried; see
-// ErrIndeterminate for the phase-2 failure mode.
+// changed anywhere and the transaction can simply be retried.
 func (t *Txn) Commit(ctx context.Context) (map[string][]byte, error) {
 	if _, ok := ctx.Deadline(); !ok {
 		var cancel context.CancelFunc
@@ -348,10 +320,7 @@ func (t *Txn) Commit(ctx context.Context) (map[string][]byte, error) {
 
 	id := c.store.NewTxnID()
 	epoch := c.store.Epoch()
-	decideRing := -1
-	if c.records {
-		decideRing = c.store.DecideRing()
-	}
+	decideRing := c.store.DecideRing()
 
 	// Phase 1: stage the writes on every participant ring.
 	var prepared []int
@@ -392,12 +361,10 @@ func (t *Txn) Commit(ctx context.Context) (map[string][]byte, error) {
 	// may not have landed on the decide ring, but the ordered aborts in
 	// rollback() resolve every stage to abort regardless, and the id is
 	// never reused, so a stray record is inert.
-	if decideRing >= 0 {
-		if err := c.store.TxnDecide(ctx, decideRing, id); err != nil {
-			rollback()
-			unlock()
-			return nil, abort(fmt.Errorf("decide on ring %d: %w", decideRing, err))
-		}
+	if err := c.store.TxnDecide(ctx, decideRing, id); err != nil {
+		rollback()
+		unlock()
+		return nil, abort(fmt.Errorf("decide on ring %d: %w", decideRing, err))
 	}
 
 	// Phase 2: the decision is commit. Push it to every participant on a
@@ -405,58 +372,36 @@ func (t *Txn) Commit(ctx context.Context) (map[string][]byte, error) {
 	// half the rings.
 	cctx, cancel := context.WithTimeout(context.WithoutCancel(ctx), commitPush)
 	defer cancel()
-	var firstErr error
 	var failed []int
-	committed := 0
 	for _, sid := range participants {
 		if err := c.store.TxnCommit(cctx, sid, id); err != nil {
 			failed = append(failed, sid)
-			if firstErr == nil {
-				firstErr = fmt.Errorf("commit shard %d: %w", sid, err)
-			}
-			continue
 		}
-		committed++
 	}
 	unlock()
-	if firstErr != nil {
-		if decideRing >= 0 {
-			// The commit record is ordered: the outcome IS commit, so
-			// report success. The unreached rings converge from the record
-			// even if this node dies right now; the background retrier just
-			// shortens the window. TxnCommit is idempotent (a shard whose
-			// stage already resolved applies a no-op).
-			if c.reg != nil {
-				c.reg.Counter(stats.MetricTxnPushOrphaned).Inc()
-			}
-			go func(pending []int) {
-				for attempt := 0; attempt < 5 && len(pending) > 0; attempt++ {
-					time.Sleep(time.Duration(attempt+1) * 50 * time.Millisecond)
-					pctx, pcancel := context.WithTimeout(context.Background(), commitPush)
-					var still []int
-					for _, sid := range pending {
-						if err := c.store.TxnCommit(pctx, sid, id); err != nil {
-							still = append(still, sid)
-						}
-					}
-					pcancel()
-					pending = still
-				}
-			}(failed)
-			return views, nil
+	if len(failed) > 0 {
+		// The commit record is ordered: the outcome IS commit, so report
+		// success. The unreached rings converge from the record even if
+		// this node dies right now; the background retrier just shortens
+		// the window. TxnCommit is idempotent (a shard whose stage already
+		// resolved applies a no-op).
+		if c.reg != nil {
+			c.reg.Counter(stats.MetricTxnPushOrphaned).Inc()
 		}
-		// Legacy path (WithoutCommitRecords): a phase-2 error cannot prove
-		// non-application — a commit that timed out after its multicast
-		// entered the ordered stream still applies. The trailing aborts
-		// only clean up stages whose commit genuinely never got submitted
-		// (same-ring FIFO orders them after any in-flight commit, which
-		// wins); the caller must treat the outcome as indeterminate.
-		// ErrIndeterminate is the only %w here on purpose: the push error
-		// is often retryable, and wrapping it would let errors.Is(err,
-		// rcerr.ErrRetryable) invite a blind retry of a transaction that
-		// may already be partially applied. The cause is flattened with %v.
-		rollback()
-		return views, fmt.Errorf("%w (%d/%d rings acknowledged): %v", ErrIndeterminate, committed, len(participants), firstErr)
+		go func(pending []int) {
+			for attempt := 0; attempt < 5 && len(pending) > 0; attempt++ {
+				time.Sleep(time.Duration(attempt+1) * 50 * time.Millisecond)
+				pctx, pcancel := context.WithTimeout(context.Background(), commitPush)
+				var still []int
+				for _, sid := range pending {
+					if err := c.store.TxnCommit(pctx, sid, id); err != nil {
+						still = append(still, sid)
+					}
+				}
+				pcancel()
+				pending = still
+			}
+		}(failed)
 	}
 	return views, nil
 }

@@ -189,16 +189,6 @@ var (
 	// ErrTxnAborted reports a transaction that changed nothing anywhere;
 	// retryable — re-run the transaction.
 	ErrTxnAborted = txn.ErrAborted
-	// ErrTxnIndeterminate reports a phase-2 failure after at least one
-	// participant ring committed with NO replicated commit record to
-	// resolve the rest. NOT retryable: the commit may be partially
-	// applied. The facade path no longer returns it — Cluster
-	// transactions order a replicated commit record before phase 2, so a
-	// mid-fan-out failure reports success and the unreached rings
-	// converge from the record. Only hand-assembled coordinators built
-	// with txn.WithoutCommitRecords can still see it; the sentinel stays
-	// exported for their errors.Is checks (see README MIGRATION).
-	ErrTxnIndeterminate = txn.ErrIndeterminate
 )
 
 // NoNode is the zero NodeID.

@@ -3,8 +3,8 @@ package raincore
 // Durability-subsystem tests: crash a member, restart it from its WAL,
 // and assert it rejoins via the delta fast-forward path with the same
 // keyspace as the survivors — plus the replicated-commit-record
-// guarantees (a coordinator death mid-2PC resolves deterministically,
-// never indeterminately) and the gateway's apply-stream cache eviction.
+// guarantees (a coordinator death mid-2PC resolves deterministically)
+// and the gateway's apply-stream cache eviction.
 
 import (
 	"context"
@@ -133,8 +133,8 @@ func TestClusterRestartFromWALSingleNode(t *testing.T) {
 // survivors resolve both deterministically from the decide ring, and the
 // restarted node replays its WAL and fast-forwards through a delta state
 // transfer — not a full keyspace retransfer — back to keyspace
-// equivalence. Concurrent transactions never observe an indeterminate
-// outcome, Close is idempotent, and the test leaks no goroutines.
+// equivalence. Concurrent transactions never fail permanently, Close is
+// idempotent, and the test leaks no goroutines.
 func TestCrashRestartRecoversViaDelta(t *testing.T) {
 	baseGoroutines := runtime.NumGoroutine()
 	net := simnet.New(simnet.Options{})
@@ -221,10 +221,13 @@ func TestCrashRestartRecoversViaDelta(t *testing.T) {
 	}
 
 	// Survivor transaction load racing the crash: outcomes must be
-	// success or a clean retryable abort — never indeterminate.
+	// success or a clean retryable abort (which the facade retries until
+	// its deadline) — never a permanent failure, which would mean a
+	// commit left partially applied.
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
-	var commits, indeterminate atomic.Int64
+	var commits, permanent atomic.Int64
+	var firstPermanent atomic.Value
 	for _, id := range []NodeID{1, 2} {
 		cl := cls[id]
 		nid := id
@@ -244,8 +247,9 @@ func TestCrashRestartRecoversViaDelta(t *testing.T) {
 				switch {
 				case err == nil:
 					commits.Add(1)
-				case errors.Is(err, ErrTxnIndeterminate):
-					indeterminate.Add(1)
+				case !IsRetryable(err) && !errors.Is(err, context.DeadlineExceeded):
+					permanent.Add(1)
+					firstPermanent.CompareAndSwap(nil, err.Error())
 				}
 			}
 		}()
@@ -286,8 +290,8 @@ func TestCrashRestartRecoversViaDelta(t *testing.T) {
 	if commits.Load() == 0 {
 		t.Fatal("no survivor transaction committed around the crash")
 	}
-	if n := indeterminate.Load(); n != 0 {
-		t.Fatalf("%d transactions reported ErrTxnIndeterminate with commit records enabled", n)
+	if n := permanent.Load(); n != 0 {
+		t.Fatalf("%d transactions failed permanently around the crash; first: %v", n, firstPermanent.Load())
 	}
 
 	// Restart from the WAL: replay locally, rejoin, delta fast-forward.
