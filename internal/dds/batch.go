@@ -269,7 +269,7 @@ func (s *Service) batcherAppliedLocked(origin core.NodeID) {
 // coalesces K independent writes, so the freeze/retired and
 // snapshot-barrier rejections run per entry — each caller gets exactly
 // the outcome its op would have gotten ordered alone at this position —
-// while the read view publishes all surviving entries in one COW pass
+// while the keyspace publishes all surviving entries in one COW pass
 // (each touched bucket cloned once per batch, not once per op).
 // Waiters wake only after every survivor is visible in the read view:
 // read-your-writes covers the whole batch.
@@ -296,17 +296,7 @@ func (s *Service) applyBatchLocked(origin core.NodeID, o op) {
 			surv = append(surv, *e)
 		}
 	}
-	for i := range surv {
-		e := &surv[i]
-		if e.del {
-			delete(s.kv, e.key)
-			s.notifyLocked(e.key, nil, true)
-		} else {
-			s.kv[e.key] = append([]byte(nil), e.val...)
-			s.notifyLocked(e.key, e.val, false)
-		}
-	}
-	s.rview.applyBatch(surv)
+	s.publishLocked(surv)
 	// The coalescer's pacing gate releases at APPLY — the next frame
 	// flushes while this one's fsync (if any) is still pending, which is
 	// what keeps the group-commit pipeline full.

@@ -17,7 +17,8 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"sort"
+	"maps"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -36,13 +37,12 @@ type Service struct {
 
 	mu      sync.RWMutex
 	locks   map[string]*lockState
-	kv      map[string][]byte
 	nextReq uint64
 
-	// rview is the lock-free read side: a COW image of kv kept in sync by
-	// the ordered appliers, so Get/Keys never serialize behind token
-	// applies (or each other). It also carries the apply-progress stamps
-	// the consistency-moded read path keys off.
+	// rview is the replica's keyspace: the copy-on-write map the ordered
+	// appliers publish into and Get/Keys read lock-free, so reads never
+	// serialize behind token applies (or each other). It also carries the
+	// apply-progress stamps the consistency-moded read path keys off.
 	rview readView
 
 	// Reader wake machinery for WaitCaughtUp: appliers close waitCh (when
@@ -115,8 +115,9 @@ type Service struct {
 	postApply []func()
 
 	// State-transfer mode: while syncing, operations are buffered and
-	// replayed after the snapshot applies.
-	syncing   bool
+	// replayed after the snapshot applies. Written under s.mu; atomic so
+	// Freshness can read it without the lock.
+	syncing   atomic.Bool
 	buffer    []bufferedOp
 	syncTimer *time.Timer
 	// applied records, per origin, the highest multicast sequence whose
@@ -242,7 +243,6 @@ func New(node *core.Node) *Service {
 		node:     node,
 		id:       node.ID(),
 		locks:    make(map[string]*lockState),
-		kv:       make(map[string][]byte),
 		lockWait: make(map[uint64]chan error),
 		opWait:   make(map[uint64][]chan error),
 		pending:  make(map[uint64]pendingAcquire),
@@ -510,8 +510,13 @@ func (s *Service) ApplyIndex() uint64 { return s.rview.applyIndex.Load() }
 // Freshness reports when this replica last proved it was caught up: the
 // later of its last ordered apply and its node's last token arrival (a
 // token visit with nothing to deliver is still proof no ordered write is
-// missing up to that instant).
+// missing up to that instant). A replica in state transfer buffers its
+// deliveries, so token visits prove nothing there: it reports the zero
+// time until the transfer installs.
 func (s *Service) Freshness() time.Time {
+	if s.syncing.Load() {
+		return time.Time{}
+	}
 	la := s.rview.lastApply()
 	if tok := s.node.LastTokenArrival(); tok.After(la) {
 		return tok
@@ -620,7 +625,7 @@ func (s *Service) onDeliver(d core.Delivery) {
 		// past the very ops it carries. It also bypasses the sync buffer:
 		// it IS the state transfer a syncing replica is waiting for.
 		s.applySnapDeltaLocked(d.Origin, d.Seq, op)
-	case s.syncing && op.kind != opSnapshot:
+	case s.syncing.Load() && op.kind != opSnapshot:
 		s.buffer = append(s.buffer, bufferedOp{origin: d.Origin, seq: d.Seq, op: op, raw: d.Payload})
 	default:
 		s.applyFilteredLocked(d.Origin, d.Seq, op, d.Payload)
@@ -703,7 +708,7 @@ func (s *Service) onMembership(e core.MembershipEvent) {
 	// sync from, so its recovered state IS the ring state. Adopt it and
 	// drain whatever buffered while waiting. A joining replica's initial
 	// membership event carries Epoch 0 and never triggers this.
-	if s.syncing && e.Epoch > 0 && len(e.Members) == 1 && e.Members[0] == s.id {
+	if s.syncing.Load() && e.Epoch > 0 && len(e.Members) == 1 && e.Members[0] == s.id {
 		s.tracef("seed-exit from sync (epoch=%d buffered=%d)", e.Epoch, len(s.buffer))
 		if s.syncTimer != nil {
 			s.syncTimer.Stop()
@@ -711,7 +716,7 @@ func (s *Service) onMembership(e core.MembershipEvent) {
 		}
 		buf := s.buffer
 		s.buffer = nil
-		s.syncing = false
+		s.syncing.Store(false)
 		for _, b := range buf {
 			s.applyFilteredLocked(b.origin, b.seq, b.op, b.raw)
 		}
@@ -798,9 +803,9 @@ func (s *Service) onShutdown(reason string) {
 func (s *Service) enterSync() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.tracef("enterSync (already=%v)", s.syncing)
-	if !s.syncing {
-		s.syncing = true
+	s.tracef("enterSync (already=%v)", s.syncing.Load())
+	if !s.syncing.Load() {
+		s.syncing.Store(true)
 		s.buffer = nil
 	}
 	// (Re)arm even when already syncing: a recovered replica enters sync
@@ -815,7 +820,7 @@ func (s *Service) armSyncTimerLocked() {
 	}
 	s.syncTimer = time.AfterFunc(snapshotWait, func() {
 		s.mu.Lock()
-		stillSyncing := s.syncing
+		stillSyncing := s.syncing.Load()
 		if stillSyncing {
 			s.tracef("sync fallback timer fired (lowest=%d buffered=%d)", s.lowest, len(s.buffer))
 		}
@@ -827,7 +832,7 @@ func (s *Service) armSyncTimerLocked() {
 			// same ordered position.
 			buf := s.buffer
 			s.buffer = nil
-			s.syncing = false
+			s.syncing.Store(false)
 			for _, b := range buf {
 				s.applyFilteredLocked(b.origin, b.seq, b.op, b.raw)
 			}
@@ -1051,15 +1056,9 @@ func (s *Service) applyLocked(origin core.NodeID, o op) {
 		s.applyReleaseLocked(origin, o)
 	case opCancel:
 		s.applyCancelLocked(origin, o)
-	case opSet:
-		s.kv[o.key] = append([]byte(nil), o.val...)
-		s.rview.set(o.key, o.val)
-		s.notifyLocked(o.key, o.val, false)
-		s.signalOpLocked(origin, o.reqID, nil)
-	case opDel:
-		delete(s.kv, o.key)
-		s.rview.del(o.key)
-		s.notifyLocked(o.key, nil, true)
+	case opSet, opDel:
+		e := [1]batchEntry{{del: o.kind == opDel, key: o.key, val: o.val}}
+		s.publishLocked(e[:])
 		s.signalOpLocked(origin, o.reqID, nil)
 	case opBatch:
 		// Deliberately absent from the freeze/retired and
@@ -1076,7 +1075,7 @@ func (s *Service) applyLocked(origin core.NodeID, o op) {
 	case opSnapReq:
 		// Deterministic responder: the lowest live member other than
 		// the requester captures at this ordered position.
-		if s.id != origin && s.id == s.responderLocked(origin) && !s.syncing {
+		if s.id != origin && s.id == s.responderLocked(origin) && !s.syncing.Load() {
 			snap := s.captureTargetLocked(origin)
 			go s.node.Multicast(snap)
 		}
@@ -1159,21 +1158,7 @@ func (s *Service) applyTxnCommitLocked(origin core.NodeID, o op) {
 		return
 	}
 	delete(s.txns, o.rid)
-	keys := make([]string, 0, len(st.kv))
-	for k := range st.kv {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		s.kv[k] = st.kv[k]
-		s.rview.set(k, s.kv[k])
-		s.notifyLocked(k, s.kv[k], false)
-	}
-	for _, k := range st.dels {
-		delete(s.kv, k)
-		s.rview.del(k)
-		s.notifyLocked(k, nil, true)
-	}
+	s.publishLocked(writeEntries(st.kv, st.dels))
 	s.signalOpLocked(origin, o.reqID, nil)
 }
 
@@ -1238,7 +1223,7 @@ func (s *Service) localVerdict(id uint64, coord core.NodeID) int {
 	if s.decisions[id] {
 		return verdictCommit
 	}
-	if s.syncing || s.closed || len(s.live) == 0 {
+	if s.syncing.Load() || s.closed || len(s.live) == 0 {
 		return verdictPending
 	}
 	if !s.live[coord] {
@@ -1256,7 +1241,7 @@ func (s *Service) localSelfVerdict(id uint64) int {
 	if s.decisions[id] {
 		return verdictCommit
 	}
-	if s.syncing || s.closed || len(s.live) == 0 {
+	if s.syncing.Load() || s.closed || len(s.live) == 0 {
 		return verdictPending
 	}
 	return verdictAbort
@@ -1378,13 +1363,10 @@ func (s *Service) queueSnapCaptureLocked(origin core.NodeID) {
 	if s.router == nil || !s.router.wantsSnapCapture(s.snapID) {
 		return
 	}
-	kv := make(map[string][]byte, len(s.kv))
-	for k, v := range s.kv {
-		kv[k] = append([]byte(nil), v...)
-	}
+	img := s.rview.image()
 	router, shard, rid := s.router, s.shardID, s.snapID
 	s.postApply = append(s.postApply, func() {
-		router.snapCaptured(shard, rid, kv)
+		router.snapCaptured(shard, rid, &img)
 	})
 }
 
@@ -1490,12 +1472,7 @@ func (s *Service) queueCaptureLocked(origin core.NodeID) {
 	if s.router == nil || s.frozenID == 0 || !s.router.wantsCapture(s.frozenID) {
 		return
 	}
-	cap := capturedState{kv: make(map[string][]byte), locks: make(map[string]*lockState)}
-	for k, v := range s.kv {
-		if rangesContain(s.frozen, fnv64a(k)) {
-			cap.kv[k] = append([]byte(nil), v...)
-		}
-	}
+	cap := capturedState{kv: s.rview.image(), ranges: s.frozen, locks: make(map[string]*lockState)}
 	for name, st := range s.locks {
 		if st.owner != wire.NoNode && rangesContain(s.frozen, fnv64a(name)) {
 			cap.locks[name] = &lockState{owner: st.owner, ownerReq: st.ownerReq}
@@ -1521,9 +1498,7 @@ func (s *Service) applyInstallLocked(origin core.NodeID, o op) {
 			kv: make(map[string][]byte), locks: make(map[string]*lockState),
 		}
 	}
-	for k, v := range o.kv {
-		s.staged.kv[k] = append([]byte(nil), v...)
-	}
+	maps.Copy(s.staged.kv, o.kv)
 	for name, ls := range o.locks {
 		s.staged.locks[name] = &lockState{owner: ls.owner, ownerReq: ls.ownerReq}
 	}
@@ -1543,16 +1518,7 @@ func (s *Service) applyFlipLocked(origin core.NodeID, o op) {
 		s.retired = complementRanges(newHashRingFor(o.rings, defaultReplicas), s.shardID)
 	}
 	if s.staged != nil && s.staged.id == o.rid {
-		keys := make([]string, 0, len(s.staged.kv))
-		for k := range s.staged.kv {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		for _, k := range keys {
-			s.kv[k] = s.staged.kv[k]
-			s.rview.set(k, s.kv[k])
-			s.notifyLocked(k, s.kv[k], false)
-		}
+		s.publishLocked(writeEntries(s.staged.kv, nil))
 		for name, ls := range s.staged.locks {
 			s.locks[name] = ls
 		}
@@ -1680,12 +1646,14 @@ func (s *Service) purgeIfPending(rid uint64) {
 // shard now, which the router routes to. The purge is silent — at the
 // router level the keys still exist, so no delete notification is due.
 func (s *Service) purgeFrozenLocked() {
-	for k := range s.kv {
+	var gone []batchEntry
+	img := s.rview.image()
+	for k := range img.all() {
 		if rangesContain(s.frozen, fnv64a(k)) {
-			delete(s.kv, k)
-			s.rview.del(k)
+			gone = append(gone, batchEntry{del: true, key: k})
 		}
 	}
+	s.rview.publish(gone)
 	for name := range s.locks {
 		if rangesContain(s.frozen, fnv64a(name)) {
 			delete(s.locks, name)
@@ -1819,6 +1787,29 @@ func (s *Service) releaseDeadLocked(dead core.NodeID) {
 	}
 }
 
+// publishLocked makes entries live in the keyspace (one clone per touched
+// bucket), then notifies watchers of each entry in order.
+func (s *Service) publishLocked(entries []batchEntry) {
+	s.rview.publish(entries)
+	for i := range entries {
+		e := &entries[i]
+		s.notifyLocked(e.key, e.val, e.del)
+	}
+}
+
+// writeEntries orders a staged write set for publishLocked: the sets in
+// key order, then the deletes as listed.
+func writeEntries(kv map[string][]byte, dels []string) []batchEntry {
+	out := make([]batchEntry, 0, len(kv)+len(dels))
+	for _, k := range slices.Sorted(maps.Keys(kv)) {
+		out = append(out, batchEntry{key: k, val: kv[k]})
+	}
+	for _, k := range dels {
+		out = append(out, batchEntry{del: true, key: k})
+	}
+	return out
+}
+
 func (s *Service) notifyLocked(key string, val []byte, deleted bool) {
 	if len(s.applyHooks) > 0 {
 		s.hookKeys = append(s.hookKeys, key)
@@ -1835,7 +1826,7 @@ func (s *Service) notifyLocked(key string, val []byte, deleted bool) {
 // out of the recent log — or, when the log no longer covers the gap (or
 // the request asked for it), a full targeted snapshot.
 func (s *Service) applySnapReqFromLocked(origin core.NodeID, o op) {
-	if s.id == origin || s.syncing || s.id != s.responderLocked(origin) {
+	if s.id == origin || s.syncing.Load() || s.id != s.responderLocked(origin) {
 		return
 	}
 	reg := s.node.Stats()
@@ -1913,9 +1904,9 @@ func (s *Service) deltaForLocked(o op) ([]deltaEntry, bool) {
 // drains on top. Non-target replicas only advance the sender's applied
 // entry, mirroring the no-effect carrier op.
 func (s *Service) applySnapDeltaLocked(origin core.NodeID, seq uint64, o op) {
-	if o.target == s.id && s.syncing {
+	if o.target == s.id && s.syncing.Load() {
 		s.tracef("applying delta from n%d: %d entries, %d buffered", origin, len(o.delta), len(s.buffer))
-		s.syncing = false
+		s.syncing.Store(false)
 		if s.syncTimer != nil {
 			s.syncTimer.Stop()
 		}
@@ -1963,14 +1954,14 @@ func (s *Service) applyRemovalReplayLocked(dead core.NodeID, idx uint64) {
 
 // applySnapshotLocked installs a snapshot and replays buffered ops.
 func (s *Service) applySnapshotLocked(origin core.NodeID, o op) {
-	s.tracef("applySnapshot from n%d target=%d syncing=%v", origin, o.target, s.syncing)
+	s.tracef("applySnapshot from n%d target=%d syncing=%v", origin, o.target, s.syncing.Load())
 	if o.target != wire.NoNode {
 		// Targeted at one (joining) replica: others skip it, and the
 		// target applies it only while waiting for state transfer.
 		if o.target != s.id {
 			return
 		}
-		if !s.syncing {
+		if !s.syncing.Load() {
 			return
 		}
 	}
@@ -1982,38 +1973,33 @@ func (s *Service) applySnapshotLocked(origin core.NodeID, o op) {
 	// capture and its delivery; those must be replayed from the recent-op
 	// log after the overwrite, or the snapshot must be skipped when the
 	// log no longer covers the gap.
-	var gapReplay []bufferedOp
-	if !s.syncing {
-		st0, err0 := decodeSnapshotState(o.val)
-		if err0 != nil {
-			return
-		}
-		snapApplied := st0.applied
-		for origin, mine := range s.applied {
-			if mine > snapApplied[origin] && s.evictedHigh[origin] > snapApplied[origin] {
-				return // gap not covered by the log: keep our state
-			}
-		}
-		if s.removalCount > st0.removals && s.remEvictedHigh > st0.removals {
-			return // a removal in the gap was evicted: keep our state
-		}
-		for _, b := range s.recent {
-			if b.isRemoval {
-				if b.seq > st0.removals {
-					gapReplay = append(gapReplay, b)
-				}
-				continue
-			}
-			if b.seq > snapApplied[b.origin] {
-				gapReplay = append(gapReplay, b)
-			}
-		}
-	}
 	st, err := decodeSnapshotState(o.val)
 	if err != nil {
 		return
 	}
-	old := s.kv
+	var gapReplay []bufferedOp
+	if !s.syncing.Load() {
+		for origin, mine := range s.applied {
+			if mine > st.applied[origin] && s.evictedHigh[origin] > st.applied[origin] {
+				return // gap not covered by the log: keep our state
+			}
+		}
+		if s.removalCount > st.removals && s.remEvictedHigh > st.removals {
+			return // a removal in the gap was evicted: keep our state
+		}
+		for _, b := range s.recent {
+			if b.isRemoval {
+				if b.seq > st.removals {
+					gapReplay = append(gapReplay, b)
+				}
+				continue
+			}
+			if b.seq > st.applied[b.origin] {
+				gapReplay = append(gapReplay, b)
+			}
+		}
+	}
+	old := s.rview.image()
 	s.installSnapshotStateLocked(st)
 	// If the handoff's freeze op itself was covered by the snapshot,
 	// re-queue the capture so a coordinating router still receives it
@@ -2030,31 +2016,14 @@ func (s *Service) applySnapshotLocked(origin core.NodeID, o op) {
 		}
 	}
 	s.queueOrphanKickLocked()
-	s.syncing = false
+	s.syncing.Store(false)
 	if s.syncTimer != nil {
 		s.syncTimer.Stop()
 	}
 	// Watchers must observe the state transfer: notify the diff between
 	// the replaced state and the snapshot, in stable (key-sorted) order.
-	var changed []string
-	for k, v := range s.kv {
-		if ov, ok := old[k]; !ok || string(ov) != string(v) {
-			changed = append(changed, k)
-		}
-	}
-	sort.Strings(changed)
-	for _, k := range changed {
-		s.notifyLocked(k, s.kv[k], false)
-	}
-	var removed []string
-	for k := range old {
-		if _, ok := s.kv[k]; !ok {
-			removed = append(removed, k)
-		}
-	}
-	sort.Strings(removed)
-	for _, k := range removed {
-		s.notifyLocked(k, nil, true)
+	for _, e := range diffImages(&old, &st.kv) {
+		s.notifyLocked(e.key, e.val, e.del)
 	}
 	buf := s.buffer
 	s.buffer = nil
@@ -2089,11 +2058,7 @@ func (s *Service) applySnapshotLocked(origin core.NodeID, o op) {
 // the baseline makes any STALE snapshot deterministically skipped by the
 // coverage check instead of rewinding state.
 func (s *Service) installSnapshotStateLocked(st snapshotState) {
-	s.kv = st.kv
-	if s.kv == nil {
-		s.kv = make(map[string][]byte)
-	}
-	s.rview.reload(s.kv)
+	s.rview.adopt(&st.kv)
 	s.locks = st.locks
 	if s.locks == nil {
 		s.locks = make(map[string]*lockState)
@@ -2145,7 +2110,7 @@ func (s *Service) captureTargetLocked(target core.NodeID) []byte {
 // WAL's compacted on-disk snapshots.
 func (s *Service) snapshotStateLocked() snapshotState {
 	return snapshotState{
-		kv: s.kv, locks: s.locks, applied: s.applied,
+		kv: s.rview.image(), locks: s.locks, applied: s.applied,
 		frozenID: s.frozenID, frozenBy: s.frozenBy, frozenEpoch: s.frozenEpoch,
 		frozen: s.frozen, retired: s.retired, staged: s.staged,
 		txns: s.txns, snapID: s.snapID, snapBy: s.snapBy,
@@ -2237,7 +2202,7 @@ func (s *Service) Recover() (int, error) {
 		// join/merge anchor (enterSync) starts the state-transfer
 		// clock. A replica that instead seeds its own ring exits
 		// through the singleton membership event.
-		s.syncing = true
+		s.syncing.Store(true)
 		s.buffer = nil
 	}
 	s.mu.Unlock()
@@ -2251,5 +2216,5 @@ func (s *Service) Recover() (int, error) {
 func (s *Service) String() string {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	return fmt.Sprintf("dds{node=%v keys=%d locks=%d syncing=%v}", s.id, len(s.kv), len(s.locks), s.syncing)
+	return fmt.Sprintf("dds{node=%v keys=%d locks=%d syncing=%v}", s.id, len(s.rview.keys()), len(s.locks), s.syncing.Load())
 }

@@ -1,8 +1,12 @@
 package dds
 
 import (
+	"bytes"
 	"context"
 	"fmt"
+	"maps"
+	"slices"
+	"sort"
 	"sync"
 	"testing"
 	"time"
@@ -386,7 +390,7 @@ func TestAppPayloadNotMistakenForOp(t *testing.T) {
 
 func TestSnapshotStateCodec(t *testing.T) {
 	st := snapshotState{
-		kv: map[string][]byte{"a": []byte("1"), "b": {}},
+		kv: imageOf(map[string][]byte{"a": []byte("1"), "b": {}}),
 		locks: map[string]*lockState{
 			"L": {owner: 3, ownerReq: 9, queue: []lockReq{{node: 1, reqID: 2}, {node: 2, reqID: 5}}},
 		},
@@ -400,11 +404,99 @@ func TestSnapshotStateCodec(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if string(got.kv["a"]) != "1" || len(got.kv) != 2 {
-		t.Fatalf("kv = %+v", got.kv)
+	if kv := maps.Collect(got.kv.all()); string(kv["a"]) != "1" || len(kv) != 2 {
+		t.Fatalf("kv = %v", kv)
 	}
 	l := got.locks["L"]
 	if l == nil || l.owner != 3 || l.ownerReq != 9 || len(l.queue) != 2 || l.queue[1].reqID != 5 {
 		t.Fatalf("locks = %+v", l)
+	}
+}
+
+// imageOf builds a keyspace image holding kv.
+func imageOf(kv map[string][]byte) viewImage {
+	var img viewImage
+	for k, v := range kv {
+		img.put(k, v)
+	}
+	return img
+}
+
+// TestSnapshotInstallNotifiesDiff installs a snapshot on a live replica
+// and checks what its watchers see: exactly the keys the snapshot adds or
+// changes, in key order, then exactly the keys it removes, in key order —
+// and nothing for keys whose value it leaves as it was.
+func TestSnapshotInstallNotifiesDiff(t *testing.T) {
+	dc := startDDS(t, 1)
+	s := dc.svcs[1]
+	ctx := context.Background()
+	before := make(map[string][]byte)
+	for i := 0; i < 40; i++ {
+		k, v := fmt.Sprintf("k%02d", i), []byte(fmt.Sprintf("v%d", i))
+		if err := s.Set(ctx, k, v); err != nil {
+			t.Fatal(err)
+		}
+		before[k] = v
+	}
+	after := make(map[string][]byte)
+	var want []string
+	for i := 0; i < 40; i++ {
+		k := fmt.Sprintf("k%02d", i)
+		switch i % 4 {
+		case 0: // unchanged, in a fresh slice
+			after[k] = append([]byte(nil), before[k]...)
+		case 1: // changed
+			after[k] = []byte(fmt.Sprintf("w%d", i))
+			want = append(want, k+"="+string(after[k]))
+		}
+		// i%4 == 2, 3: removed
+	}
+	for i := 0; i < 6; i++ { // added
+		k := fmt.Sprintf("n%02d", i)
+		after[k] = []byte(fmt.Sprintf("x%d", i))
+		want = append(want, k+"="+string(after[k]))
+	}
+	sort.Strings(want)
+	for i := 0; i < 40; i++ {
+		if i%4 >= 2 {
+			want = append(want, fmt.Sprintf("k%02d deleted", i))
+		}
+	}
+
+	var mu sync.Mutex
+	var seen []string
+	s.Watch(func(key string, val []byte, deleted bool) {
+		mu.Lock()
+		defer mu.Unlock()
+		if deleted {
+			seen = append(seen, key+" deleted")
+		} else {
+			seen = append(seen, key+"="+string(val))
+		}
+	})
+	s.mu.Lock()
+	st := s.snapshotStateLocked()
+	st.kv = imageOf(after)
+	o, ok := decodeOp(encodeSnapshot(s.id, st))
+	if !ok {
+		s.mu.Unlock()
+		t.Fatal("snapshot decode failed")
+	}
+	s.syncing.Store(true)
+	s.applySnapshotLocked(s.id, o)
+	s.mu.Unlock()
+
+	mu.Lock()
+	defer mu.Unlock()
+	if !slices.Equal(seen, want) {
+		t.Fatalf("install notified\n%v\nwant\n%v", seen, want)
+	}
+	for k, v := range after {
+		if got, ok := s.Get(k); !ok || !bytes.Equal(got, v) {
+			t.Fatalf("after install %q = %q,%v; want %q", k, got, ok, v)
+		}
+	}
+	if n := len(s.Keys()); n != len(after) {
+		t.Fatalf("after install %d keys, want %d", n, len(after))
 	}
 }

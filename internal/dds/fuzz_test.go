@@ -3,6 +3,7 @@ package dds
 import (
 	"bytes"
 	"encoding/binary"
+	"runtime"
 	"testing"
 )
 
@@ -47,6 +48,10 @@ func FuzzOpBatch(f *testing.F) {
 	// A frame torn mid-entry.
 	torn := encodeBatch([]batchEntry{{key: "kk", val: bytes.Repeat([]byte{0xAB}, 64), reqID: 5}})
 	f.Add(torn[:len(torn)-9])
+	// Frames whose element counts claim far more than they carry.
+	for _, c := range hugeCountFrames() {
+		f.Add(c.frame)
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		o, ok := decodeOp(data)
@@ -79,8 +84,67 @@ func FuzzOpBatch(f *testing.F) {
 			if !ok2 || o2.kind != opDel || o2.key != o.key || o2.reqID != o.reqID {
 				t.Fatalf("single-op del round-trip diverged: %+v vs %+v", o, o2)
 			}
+		case opSnapshot:
+			// The carried state must decode or fail, never panic.
+			_, _ = decodeSnapshotState(o.val)
 		}
 	})
+}
+
+// hugeCount is the element count every hugeCountFrames frame claims.
+const hugeCount = 1 << 20
+
+type hugeCountFrame struct {
+	name  string
+	frame []byte
+}
+
+// hugeCountFrames builds, for each counted run the op decoder reads, a
+// frame whose count claims hugeCount elements but carries none of them.
+func hugeCountFrames() []hugeCountFrame {
+	u32 := binary.LittleEndian.AppendUint32
+	u64 := binary.LittleEndian.AppendUint64
+	ids := func(kind opKind) []byte { return u64(u64(header(kind), 1), 2) } // rid, epoch
+	// A snapshot whose state has empty maps, no staged install, and a
+	// staged-transaction count that lies.
+	state := u32(u32(u32(nil, 0), 0), 0)     // kv, locks, applied
+	state = u64(u32(u64(state, 0), 0), 0)    // frozenID, frozenBy, frozenEpoch
+	state = append(u32(u32(state, 0), 0), 0) // frozen, retired, no staged
+	snapTxns := appendBytes(u32(header(opSnapshot), 0), u32(state, hugeCount))
+	return []hugeCountFrame{
+		{"freeze ranges", u32(ids(opFreeze), hugeCount)},
+		{"install kv", u32(ids(opInstall), hugeCount)},
+		{"install locks", u32(u32(ids(opInstall), 0), hugeCount)},
+		{"prepare dels", u32(u32(u32(ids(opTxnPrepare), 0), 0), hugeCount)},
+		{"flip rings", u32(ids(opFlip), hugeCount)},
+		{"snap-req-from applied", u32(append(u64(u64(header(opSnapReqFrom), 1), 0), 0), hugeCount)},
+		{"snap delta", u32(u32(header(opSnapDelta), 7), hugeCount)},
+		{"batch", u32(header(opBatch), hugeCount)},
+		{"snapshot kv", appendBytes(u32(header(opSnapshot), 0), u32(nil, hugeCount))},
+		{"snapshot txns", snapTxns},
+	}
+}
+
+// TestDecodeBoundsHugeCounts feeds every counted run a frame whose count
+// claims 1<<20 elements: decoding must fail, and must not preallocate for
+// the claimed count — the frame itself bounds what a decoder may reserve.
+func TestDecodeBoundsHugeCounts(t *testing.T) {
+	for _, c := range hugeCountFrames() {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		o, ok := decodeOp(c.frame)
+		if ok && o.kind == opSnapshot {
+			_, err := decodeSnapshotState(o.val)
+			ok = err == nil
+		}
+		runtime.ReadMemStats(&after)
+		if ok {
+			t.Errorf("%s: a %d-byte frame claiming %d elements decoded", c.name, len(c.frame), hugeCount)
+		}
+		if grew := after.TotalAlloc - before.TotalAlloc; grew >= 1<<20 {
+			t.Errorf("%s: decoding a %d-byte frame allocated %d bytes", c.name, len(c.frame), grew)
+		}
+	}
 }
 
 // TestBatchEncodeZeroAlloc pins the coalescer's amortized encode cost:

@@ -3,6 +3,8 @@ package dds
 import (
 	"encoding/binary"
 	"errors"
+	"iter"
+	"maps"
 	"sort"
 
 	"repro/internal/core"
@@ -246,7 +248,7 @@ func (r *opReader) readRanges() ([]keyRange, error) {
 	if err != nil {
 		return nil, err
 	}
-	out := make([]keyRange, 0, n)
+	out := make([]keyRange, 0, r.capCount(n, 24)) // lo, hi, from, to
 	for i := uint32(0); i < n; i++ {
 		var kr keyRange
 		if kr.lo, err = r.u64(); err != nil {
@@ -269,33 +271,35 @@ func (r *opReader) readRanges() ([]keyRange, error) {
 	return out, nil
 }
 
-func appendKV(b []byte, kv map[string][]byte) []byte {
-	b = binary.LittleEndian.AppendUint32(b, uint32(len(kv)))
-	for k, v := range kv {
+// appendKV encodes n key/value pairs: the count, then each pair.
+func appendKV(b []byte, n int, pairs iter.Seq2[string, []byte]) []byte {
+	b = binary.LittleEndian.AppendUint32(b, uint32(n))
+	for k, v := range pairs {
 		b = appendStr(b, k)
 		b = appendBytes(b, v)
 	}
 	return b
 }
 
-func (r *opReader) readKV() (map[string][]byte, error) {
+// readKV reads an appendKV run, handing each pair to put.
+func (r *opReader) readKV(put func(string, []byte)) error {
 	n, err := r.u32()
-	if err != nil {
-		return nil, err
-	}
-	kv := make(map[string][]byte, n)
-	for i := uint32(0); i < n; i++ {
-		k, err := r.str()
-		if err != nil {
-			return nil, err
+	for i := uint32(0); i < n && err == nil; i++ {
+		var k string
+		var v []byte
+		if k, err = r.str(); err == nil {
+			if v, err = r.bytes(); err == nil {
+				put(k, v)
+			}
 		}
-		v, err := r.bytes()
-		if err != nil {
-			return nil, err
-		}
-		kv[k] = v
 	}
-	return kv, nil
+	return err
+}
+
+// readMap reads an appendKV run into a map.
+func (r *opReader) readMap() (map[string][]byte, error) {
+	kv := make(map[string][]byte)
+	return kv, r.readKV(func(k string, v []byte) { kv[k] = v })
 }
 
 func appendLocks(b []byte, locks map[string]*lockState) []byte {
@@ -318,7 +322,7 @@ func (r *opReader) readLocks() (map[string]*lockState, error) {
 	if err != nil {
 		return nil, err
 	}
-	locks := make(map[string]*lockState, n)
+	locks := make(map[string]*lockState, r.capCount(n, 20)) // name, owner, req, queue len
 	for i := uint32(0); i < n; i++ {
 		name, err := r.str()
 		if err != nil {
@@ -368,7 +372,7 @@ func encodeInstall(rid, epoch uint64, kv map[string][]byte, locks map[string]*lo
 	b := header(opInstall)
 	b = binary.LittleEndian.AppendUint64(b, rid)
 	b = binary.LittleEndian.AppendUint64(b, epoch)
-	b = appendKV(b, kv)
+	b = appendKV(b, len(kv), maps.All(kv))
 	b = appendLocks(b, locks)
 	return binary.LittleEndian.AppendUint64(b, reqID)
 }
@@ -420,7 +424,7 @@ func (r *opReader) readStrList() ([]string, error) {
 	if err != nil {
 		return nil, err
 	}
-	out := make([]string, 0, n)
+	out := make([]string, 0, r.capCount(n, 4)) // empty strings
 	for i := uint32(0); i < n; i++ {
 		s, err := r.str()
 		if err != nil {
@@ -441,7 +445,7 @@ func encodeTxnPrepare(id, epoch uint64, decideRing int, kv map[string][]byte, de
 	b = binary.LittleEndian.AppendUint64(b, id)
 	b = binary.LittleEndian.AppendUint64(b, epoch)
 	b = binary.LittleEndian.AppendUint32(b, uint32(int32(decideRing)))
-	b = appendKV(b, kv)
+	b = appendKV(b, len(kv), maps.All(kv))
 	b = appendStrList(b, dels)
 	return binary.LittleEndian.AppendUint64(b, reqID)
 }
@@ -581,7 +585,7 @@ func decodeOp(p []byte) (op, bool) {
 	case opInstall:
 		if o.rid, err = r.u64(); err == nil {
 			if o.epoch, err = r.u64(); err == nil {
-				if o.kv, err = r.readKV(); err == nil {
+				if o.kv, err = r.readMap(); err == nil {
 					if o.locks, err = r.readLocks(); err == nil {
 						o.reqID, err = r.u64()
 					}
@@ -614,7 +618,7 @@ func decodeOp(p []byte) (op, bool) {
 				var dr uint32
 				if dr, err = r.u32(); err == nil {
 					o.decideRing = int(int32(dr))
-					if o.kv, err = r.readKV(); err == nil {
+					if o.kv, err = r.readMap(); err == nil {
 						if o.dels, err = r.readStrList(); err == nil {
 							o.reqID, err = r.u64()
 						}
@@ -638,7 +642,7 @@ func decodeOp(p []byte) (op, bool) {
 					o.wantFull = wf == 1
 					var n uint32
 					if n, err = r.u32(); err == nil {
-						o.applied = make(map[core.NodeID]uint64, n)
+						o.applied = make(map[core.NodeID]uint64, r.capCount(n, 12)) // node, seq
 						for i := uint32(0); i < n && err == nil; i++ {
 							var node uint32
 							var seq uint64
@@ -657,7 +661,7 @@ func decodeOp(p []byte) (op, bool) {
 		if t, err = r.u32(); err == nil {
 			o.target = core.NodeID(t)
 			if n, err = r.u32(); err == nil {
-				o.delta = make([]deltaEntry, 0, n)
+				o.delta = make([]deltaEntry, 0, r.capCount(n, 13)) // a removal entry
 				for i := uint32(0); i < n && err == nil; i++ {
 					var typ byte
 					if typ, err = r.u8(); err != nil {
@@ -733,7 +737,7 @@ func decodeOp(p []byte) (op, bool) {
 // --- snapshot state codec ---
 
 type snapshotState struct {
-	kv      map[string][]byte
+	kv      viewImage
 	locks   map[string]*lockState
 	applied map[core.NodeID]uint64
 	// Resharding state rides in snapshots so a replica syncing mid-handoff
@@ -801,7 +805,7 @@ func encodeSnapshot(target core.NodeID, st snapshotState) []byte {
 
 func encodeSnapshotState(st snapshotState) []byte {
 	var b []byte
-	b = appendKV(b, st.kv)
+	b = appendKV(b, st.kv.len(), st.kv.all())
 	b = appendLocks(b, st.locks)
 	b = binary.LittleEndian.AppendUint32(b, uint32(len(st.applied)))
 	for node, seq := range st.applied {
@@ -821,7 +825,7 @@ func encodeSnapshotState(st snapshotState) []byte {
 		b = binary.LittleEndian.AppendUint64(b, st.staged.id)
 		b = binary.LittleEndian.AppendUint32(b, uint32(st.staged.by))
 		b = binary.LittleEndian.AppendUint64(b, st.staged.epoch)
-		b = appendKV(b, st.staged.kv)
+		b = appendKV(b, len(st.staged.kv), maps.All(st.staged.kv))
 		b = appendLocks(b, st.staged.locks)
 	}
 	// Transaction extension (second optional trailer).
@@ -831,7 +835,7 @@ func encodeSnapshotState(st snapshotState) []byte {
 		b = binary.LittleEndian.AppendUint32(b, uint32(tx.by))
 		b = binary.LittleEndian.AppendUint64(b, tx.epoch)
 		b = binary.LittleEndian.AppendUint32(b, uint32(int32(tx.decideRing)))
-		b = appendKV(b, tx.kv)
+		b = appendKV(b, len(tx.kv), maps.All(tx.kv))
 		b = appendStrList(b, tx.dels)
 	}
 	b = binary.LittleEndian.AppendUint64(b, st.snapID)
@@ -864,7 +868,7 @@ func decodeSnapshotState(p []byte) (snapshotState, error) {
 	r := opReader{buf: p}
 	st := snapshotState{}
 	var err error
-	if st.kv, err = r.readKV(); err != nil {
+	if err = r.readKV(st.kv.put); err != nil {
 		return st, err
 	}
 	if st.locks, err = r.readLocks(); err != nil {
@@ -924,7 +928,7 @@ func decodeSnapshotState(p []byte) (snapshotState, error) {
 		if sg.epoch, err = r.u64(); err != nil {
 			return st, err
 		}
-		if sg.kv, err = r.readKV(); err != nil {
+		if sg.kv, err = r.readMap(); err != nil {
 			return st, err
 		}
 		if sg.locks, err = r.readLocks(); err != nil {
@@ -940,7 +944,7 @@ func decodeSnapshotState(p []byte) (snapshotState, error) {
 	if err != nil {
 		return st, err
 	}
-	st.txns = make(map[uint64]*txnStage, ntx)
+	st.txns = make(map[uint64]*txnStage, r.capCount(ntx, 32)) // fixed fields, empty kv and dels
 	for i := uint32(0); i < ntx; i++ {
 		tx := &txnStage{}
 		if tx.id, err = r.u64(); err != nil {
@@ -959,7 +963,7 @@ func decodeSnapshotState(p []byte) (snapshotState, error) {
 			return st, err
 		}
 		tx.decideRing = int(int32(dr))
-		if tx.kv, err = r.readKV(); err != nil {
+		if tx.kv, err = r.readMap(); err != nil {
 			return st, err
 		}
 		if tx.dels, err = r.readStrList(); err != nil {
@@ -1009,6 +1013,16 @@ func decodeSnapshotState(p []byte) (snapshotState, error) {
 
 type opReader struct{ buf []byte }
 
+// capCount bounds a preallocation for n decoded elements of at least
+// minSize encoded bytes each by what the rest of the frame can hold, so a
+// corrupt count cannot balloon memory before the short read fails.
+func (r *opReader) capCount(n uint32, minSize int) int {
+	if max := len(r.buf) / minSize; uint64(n) > uint64(max) {
+		return max
+	}
+	return int(n)
+}
+
 var errShort = errors.New("dds: truncated op")
 
 func (r *opReader) u8() (byte, error) {
@@ -1025,7 +1039,7 @@ func (r *opReader) readIntList() ([]int, error) {
 	if err != nil {
 		return nil, err
 	}
-	out := make([]int, 0, n)
+	out := make([]int, 0, r.capCount(n, 4)) // one u32 each
 	for i := uint32(0); i < n; i++ {
 		v, err := r.u32()
 		if err != nil {

@@ -460,3 +460,32 @@ func BenchmarkLocalRead(b *testing.B) {
 		}
 	})
 }
+
+// TestBoundedReadFencesWhileSyncing holds node 2's replica in state
+// transfer, where it buffers every delivery while its node keeps seeing
+// the token, then overwrites a key from node 1. A bounded read on node 2
+// must not serve the value its replica held before the write: token
+// arrivals prove nothing while deliveries are buffered, so the read
+// fences and waits for the transfer to install.
+func TestBoundedReadFencesWhileSyncing(t *testing.T) {
+	sc := startSharded(t, 3, 1)
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	const key = "sync-key"
+	if err := sc.svcs[1].Set(ctx, key, []byte("old")); err != nil {
+		t.Fatal(err)
+	}
+	sc.waitKey(t, 2, key, "old", 5*time.Second)
+	_, shard := sc.svcs[2].routeReadShard(key)
+	sc.svcs[2].Shard(shard).enterSync()
+	if err := sc.svcs[1].Set(ctx, key, []byte("new")); err != nil {
+		t.Fatal(err)
+	}
+	v, ok, err := sc.svcs[2].Get(ctx, key, WithMaxStaleness(time.Second))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !ok || string(v) != "new" {
+		t.Fatalf("bounded read on a syncing replica = %q,%v; want \"new\" (served a value from before the write)", v, ok)
+	}
+}

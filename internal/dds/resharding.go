@@ -49,12 +49,13 @@ import (
 // routed identically in both epochs and never notice the handoff.
 
 // capturedState is one source shard's moving slice, captured at the
-// freeze position. Only held locks migrate; queued waiters were
-// cancelled with ErrResharding at the freeze and retry against the
-// target.
+// freeze position: the shard's keyspace image, of which only the keys in
+// ranges move. Only held locks migrate; queued waiters were cancelled
+// with ErrResharding at the freeze and retry against the target.
 type capturedState struct {
-	kv    map[string][]byte
-	locks map[string]*lockState
+	kv     viewImage
+	ranges []keyRange
+	locks  map[string]*lockState
 }
 
 // flipInfo is the payload of an ordered flip, everything a participant
@@ -172,9 +173,11 @@ func (s *Sharded) Reshard(ctx context.Context, old, new core.RoutingView) error 
 	}
 	keysMoved := 0
 	for _, st := range captured {
-		for k, v := range st.kv {
-			staged(newRing.owner(fnv64a(k))).kv[k] = v
-			keysMoved++
+		for k, v := range st.kv.all() {
+			if h := fnv64a(k); rangesContain(st.ranges, h) {
+				staged(newRing.owner(h)).kv[k] = v
+				keysMoved++
+			}
 		}
 		for name, ls := range st.locks {
 			staged(newRing.owner(fnv64a(name))).locks[name] = ls

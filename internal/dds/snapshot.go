@@ -29,10 +29,10 @@ import (
 // removal, the same path that aborts a dead reshard coordinator's
 // handoff.
 
-// shardCapture carries one shard's captured map to the coordinator.
+// shardCapture carries one shard's captured keyspace to the coordinator.
 type shardCapture struct {
 	shard int
-	kv    map[string][]byte
+	kv    *viewImage
 }
 
 // leadSnap is the snapshot coordinator's in-flight state.
@@ -136,9 +136,9 @@ func (s *Sharded) Snapshot(ctx context.Context) (map[string][]byte, error) {
 			// Keys are filtered by current ownership, like Keys(): a
 			// source replica between a past handoff's flip and purge may
 			// still hold moved keys it no longer owns.
-			for k, v := range c.kv {
+			for k, v := range c.kv.all() {
 				if ring.lookup(k) == c.shard {
-					out[k] = v
+					out[k] = append([]byte(nil), v...)
 				}
 			}
 		case <-ctx.Done():
@@ -170,7 +170,7 @@ func (s *Sharded) wantsSnapCapture(id uint64) bool {
 }
 
 // snapCaptured delivers one shard's capture to the waiting coordinator.
-func (s *Sharded) snapCaptured(shard int, id uint64, kv map[string][]byte) {
+func (s *Sharded) snapCaptured(shard int, id uint64, kv *viewImage) {
 	s.reshardMu.Lock()
 	lead := s.snapLead
 	want := lead != nil && lead.id == id && !lead.seen[shard]

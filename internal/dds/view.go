@@ -1,21 +1,26 @@
 package dds
 
 import (
+	"bytes"
+	"iter"
+	"slices"
+	"strings"
 	"sync/atomic"
 	"time"
 )
 
-// readView is the lock-free read side of a Service replica: a bucketed
-// copy-on-write image of the replicated map, swapped via atomic pointers,
-// plus apply-progress stamps. Appliers (serialized by the ring's event
-// loop, under s.mu) publish each mutation by cloning only the affected
-// bucket and atomically storing the clone; readers load a bucket pointer
-// and look up in an immutable map — no lock, no copy-per-read of the
-// whole map, and no serialization behind token applies.
+// readView is a Service replica's keyspace, its only copy of the
+// replicated map: bucketed copy-on-write maps swapped via atomic
+// pointers, plus apply-progress stamps. Appliers (serialized by the
+// ring's event loop, under s.mu) change it only through publish;
+// readers load a bucket pointer and look up in an immutable map — no
+// lock, and no serialization behind token applies.
 //
 // Buckets are keyed by the same fnv64a hash the router uses, so the
-// per-apply copy cost is len(bucket) ≈ keys/viewBuckets instead of the
-// full keyspace.
+// per-apply copy cost is len(bucket) ≈ keys/viewBuckets. A published
+// bucket never changes, so the 256 pointers loaded at one instant (a
+// viewImage) are the whole state: captures and snapshots read an image
+// instead of copying the map, and a snapshot install adopts one.
 type readView struct {
 	buckets [viewBuckets]atomic.Pointer[map[string][]byte]
 
@@ -33,101 +38,62 @@ const viewBuckets = 256
 
 func bucketOf(h uint64) int { return int(h & (viewBuckets - 1)) }
 
+// viewImage is the keyspace's bucket pointers (nil = empty bucket). A
+// decoded snapshot is an image private to its decoder until adopted.
+type viewImage [viewBuckets]*map[string][]byte
+
+// deref is a bucket's map; an empty bucket reads as a nil map.
+func deref(b *map[string][]byte) map[string][]byte {
+	if b == nil {
+		return nil
+	}
+	return *b
+}
+
 // get is the lock-free read: load the bucket pointer, look up in the
 // immutable map, and copy the value (callers own the returned slice).
 func (v *readView) get(key string) ([]byte, bool) {
-	b := v.buckets[bucketOf(fnv64a(key))].Load()
-	if b == nil {
-		return nil, false
-	}
-	val, ok := (*b)[key]
-	if !ok {
-		return nil, false
-	}
-	return append([]byte(nil), val...), true
+	val, ok := deref(v.buckets[bucketOf(fnv64a(key))].Load())[key]
+	return bytes.Clone(val), ok
 }
 
 // keys lists every key of the view (unsorted). Buckets are loaded
 // independently, so the listing is a per-bucket-consistent union, the
 // same guarantee the old locked iteration gave a concurrent writer.
-func (v *readView) keys() []string {
-	var out []string
-	for i := range v.buckets {
-		if b := v.buckets[i].Load(); b != nil {
-			for k := range *b {
-				out = append(out, k)
-			}
-		}
+func (v *readView) keys() (out []string) {
+	img := v.image()
+	for k := range img.all() {
+		out = append(out, k)
 	}
 	return out
 }
 
-// set publishes key=val: clone the key's bucket, mutate the clone, swap.
-// Callers are the serialized appliers (they hold s.mu exclusively).
-func (v *readView) set(key string, val []byte) {
-	slot := &v.buckets[bucketOf(fnv64a(key))]
-	old := slot.Load()
-	var next map[string][]byte
-	if old == nil {
-		next = make(map[string][]byte, 1)
-	} else {
-		next = make(map[string][]byte, len(*old)+1)
-		for k, ov := range *old {
-			next[k] = ov
-		}
-	}
-	next[key] = append([]byte(nil), val...)
-	slot.Store(&next)
-}
-
-// del publishes a deletion the same way; deleting an absent key is a
-// no-op (no clone).
-func (v *readView) del(key string) {
-	slot := &v.buckets[bucketOf(fnv64a(key))]
-	old := slot.Load()
-	if old == nil {
-		return
-	}
-	if _, ok := (*old)[key]; !ok {
-		return
-	}
-	next := make(map[string][]byte, len(*old)-1)
-	for k, ov := range *old {
-		if k != key {
-			next[k] = ov
-		}
-	}
-	slot.Store(&next)
-}
-
-// applyBatch publishes a coalesced batch of sets and deletes, cloning
-// each touched bucket exactly once no matter how many entries land in
-// it. Entries apply in order, so a later entry for the same key wins —
-// the same last-writer semantics K sequential set/del calls would give,
-// at 1/K the clone cost when callers hammer a hot bucket.
-func (v *readView) applyBatch(entries []batchEntry) {
-	// Dirty buckets are tracked in a fixed array (no allocation for the
-	// common small batch); dirty[i] holds the pending clone for bucket i.
-	var dirty [viewBuckets]*map[string][]byte
-	var touched []int
+// publish is the keyspace's one mutation path: it applies a run of sets
+// and deletes in order (a later entry for a key wins), cloning each
+// touched bucket once and storing the clones after every entry is in
+// place. Deleting an absent key clones nothing; set values are copied.
+// Callers hold s.mu exclusively.
+func (v *readView) publish(entries []batchEntry) {
+	// dirty[i] holds the pending clone for bucket i (a fixed array: the
+	// bookkeeping allocates nothing).
+	var dirty viewImage
 	for i := range entries {
 		e := &entries[i]
 		bi := bucketOf(fnv64a(e.key))
 		next := dirty[bi]
 		if next == nil {
-			old := v.buckets[bi].Load()
-			var clone map[string][]byte
-			if old == nil {
-				clone = make(map[string][]byte, 1)
-			} else {
-				clone = make(map[string][]byte, len(*old)+1)
-				for k, ov := range *old {
-					clone[k] = ov
+			old := deref(v.buckets[bi].Load())
+			if e.del {
+				if _, ok := old[e.key]; !ok {
+					continue
 				}
+			}
+			clone := make(map[string][]byte, len(old)+1)
+			for k, ov := range old {
+				clone[k] = ov
 			}
 			next = &clone
 			dirty[bi] = next
-			touched = append(touched, bi)
 		}
 		if e.del {
 			delete(*next, e.key)
@@ -135,30 +101,26 @@ func (v *readView) applyBatch(entries []batchEntry) {
 			(*next)[e.key] = append([]byte(nil), e.val...)
 		}
 	}
-	for _, bi := range touched {
-		v.buckets[bi].Store(dirty[bi])
+	for bi, next := range dirty {
+		if next != nil {
+			v.buckets[bi].Store(next)
+		}
 	}
 }
 
-// reload rebuilds every bucket from the authoritative map — the bulk
-// path for snapshot installs, where per-key publication would churn the
-// same buckets repeatedly.
-func (v *readView) reload(kv map[string][]byte) {
-	var fresh [viewBuckets]map[string][]byte
-	for k, val := range kv {
-		i := bucketOf(fnv64a(k))
-		if fresh[i] == nil {
-			fresh[i] = make(map[string][]byte)
-		}
-		fresh[i][k] = append([]byte(nil), val...)
-	}
+// image loads every bucket pointer: the whole keyspace as of now.
+func (v *readView) image() (img viewImage) {
 	for i := range v.buckets {
-		if fresh[i] == nil {
-			v.buckets[i].Store(nil)
-			continue
-		}
-		b := fresh[i]
-		v.buckets[i].Store(&b)
+		img[i] = v.buckets[i].Load()
+	}
+	return img
+}
+
+// adopt replaces the keyspace with img, whose buckets are published
+// from here on (snapshot install and WAL recovery).
+func (v *readView) adopt(img *viewImage) {
+	for i := range v.buckets {
+		v.buckets[i].Store(img[i])
 	}
 }
 
@@ -176,4 +138,62 @@ func (v *readView) lastApply() time.Time {
 		return time.Time{}
 	}
 	return time.Unix(0, ns)
+}
+
+// put adds key=val to an image that is not yet published.
+func (img *viewImage) put(key string, val []byte) {
+	bi := bucketOf(fnv64a(key))
+	if img[bi] == nil {
+		img[bi] = &map[string][]byte{}
+	}
+	(*img[bi])[key] = val
+}
+
+// len counts the image's keys.
+func (img *viewImage) len() int {
+	n := 0
+	for _, b := range img {
+		n += len(deref(b))
+	}
+	return n
+}
+
+// all iterates the image's pairs, bucket by bucket.
+func (img *viewImage) all() iter.Seq2[string, []byte] {
+	return func(yield func(string, []byte) bool) {
+		for _, b := range img {
+			for k, v := range deref(b) {
+				if !yield(k, v) {
+					return
+				}
+			}
+		}
+	}
+}
+
+// diffImages lists what replacing prev by next changes: the keys next
+// adds or changes (with next's value) in key order, then the keys it
+// removes (as deletes) in key order. Shared buckets are skipped unread.
+func diffImages(prev, next *viewImage) []batchEntry {
+	var changed, removed []batchEntry
+	for i := range prev {
+		if prev[i] == next[i] {
+			continue
+		}
+		p, n := deref(prev[i]), deref(next[i])
+		for k, v := range n {
+			if pv, ok := p[k]; !ok || string(pv) != string(v) {
+				changed = append(changed, batchEntry{key: k, val: v})
+			}
+		}
+		for k := range p {
+			if _, ok := n[k]; !ok {
+				removed = append(removed, batchEntry{del: true, key: k})
+			}
+		}
+	}
+	byKey := func(a, b batchEntry) int { return strings.Compare(a.key, b.key) }
+	slices.SortFunc(changed, byKey)
+	slices.SortFunc(removed, byKey)
+	return append(changed, removed...)
 }
